@@ -18,9 +18,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from .covariance import default_surface_grid, hazard_covariance, occupation_covariance
 from .data import ParseError, Sample, ValidationError, load_sample, write_sample
@@ -68,27 +65,21 @@ def _parse_atoms(entries, dim: int) -> tuple[tuple[float, ...], ...]:
     return tuple(atom_sets)
 
 
-def _fit_points(sample: Sample, args) -> list[FitResult]:
+def _load_and_fit(args) -> tuple[Sample, list[FitResult]]:
+    """Load the input, fit every ``--x`` point, warn, create the output dir."""
+    sample = load_sample(args.input)
     dim = sample.covariate_dim
     atoms = _parse_atoms(args.atoms, dim)
     spec = KernelSpec.for_dims(dim, kernel=args.kernel, atoms=atoms)
     points = [_parse_x(raw, dim) for raw in args.x]
-
-    def run(coords):
-        return fit(
-            sample,
-            coords,
-            spec,
-            eta=args.eta,
-            explicit_bandwidth=args.bandwidth,
-            epsilon=args.epsilon,
-            theta=args.theta,
-        )
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            return list(pool.map(run, points))
-    return [run(p) for p in points]
+    options = dict(
+        eta=args.eta, explicit_bandwidth=args.bandwidth, epsilon=args.epsilon, theta=args.theta
+    )
+    results = [fit(sample, coords, spec, **options) for coords in points]
+    for i, result in enumerate(results):
+        _warn_flags(result, f"x[{i}]=({', '.join(_fmt(c) for c in result.x.coords)})")
+    os.makedirs(args.out, exist_ok=True)
+    return sample, results
 
 
 def _warn_flags(result: FitResult, label: str) -> None:
@@ -112,6 +103,7 @@ def _write_hazard_csv(result: FitResult, path: str) -> None:
     grid = result.hazard.times
     hazard = result.hazard.hazard.values
     counts = result.hazard.counts.values
+    exposure = [result.hazard.exposure[s].values for s in states]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["time", "quantity", "j", "k", "value"])
@@ -125,8 +117,8 @@ def _write_hazard_csv(result: FitResult, path: str) -> None:
                 for b, sb in enumerate(states):
                     if a != b and counts[i, a, b] != 0.0:
                         writer.writerow([ts, "count", sa, sb, _fmt(counts[i, a, b])])
-            for sa in states:
-                writer.writerow([ts, "exposure", sa, "", _fmt(result.hazard.exposure[sa](t))])
+            for sa, values in zip(states, exposure):
+                writer.writerow([ts, "exposure", sa, "", _fmt(values[i])])
 
 
 def _write_occupation_csv(result: FitResult, path: str) -> None:
@@ -189,15 +181,7 @@ def cmd_simulate(args) -> int:
     n = args.n if args.n is not None else scenario["n"]
     seed = args.seed if args.seed is not None else scenario["seed"]
     intensity, censoring = scenario["intensity"], scenario["censoring"]
-
-    def one(i: int):
-        return simulate_path(intensity, censoring, seed, i)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            paths = tuple(pool.map(one, range(n)))
-    else:
-        paths = tuple(one(i) for i in range(n))
+    paths = tuple(simulate_path(intensity, censoring, seed, i) for i in range(n))
     sample = Sample(paths, intensity.state_space)
     write_sample(sample, args.out)
     print(f"wrote {n} paths to {args.out}", file=sys.stderr)
@@ -205,12 +189,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    sample = load_sample(args.input)
-    results = _fit_points(sample, args)
-    os.makedirs(args.out, exist_ok=True)
+    sample, results = _load_and_fit(args)
     for i, result in enumerate(results):
-        label = f"x[{i}]=({', '.join(_fmt(c) for c in result.x.coords)})"
-        _warn_flags(result, label)
         _write_hazard_csv(result, os.path.join(args.out, f"hazard_{i}.csv"))
         _write_occupation_csv(result, os.path.join(args.out, f"occupation_{i}.csv"))
         if args.json:
@@ -221,12 +201,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_covariance(args) -> int:
-    sample = load_sample(args.input)
-    results = _fit_points(sample, args)
-    os.makedirs(args.out, exist_ok=True)
+    sample, results = _load_and_fit(args)
     for i, result in enumerate(results):
-        label = f"x[{i}]=({', '.join(_fmt(c) for c in result.x.coords)})"
-        _warn_flags(result, label)
         grid = default_surface_grid(result.hazard.times, args.grid)
         states = result.hazard.states
         final_counts = result.hazard.counts.values[-1] if result.hazard.times.size else None
@@ -308,7 +284,6 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bandwidth", type=float, default=None, help="explicit bandwidth override")
     parser.add_argument("--epsilon", type=float, default=1e-4, help="denominator floor")
     parser.add_argument("--theta", type=float, default=None, help="estimation horizon")
-    parser.add_argument("--threads", type=int, default=1, help="parallelism over points")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="sample CSV to write")
     p_sim.add_argument("--n", type=int, default=None, help="override scenario n")
     p_sim.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    p_sim.add_argument("--threads", type=int, default=1, help="parallelism over paths")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="conditional hazard and occupation estimates")

@@ -215,13 +215,6 @@ def cov_hazard(influences, w: WeightVector, grid) -> CovarianceSurface:
     return _gram(rows, w.weights, grid)
 
 
-def cov_occupation(influences, w: WeightVector, grid) -> CovarianceSurface:
-    """Weighted Gram surface of occupation influence curves on ``grid``."""
-    grid = np.asarray(grid, dtype=float)
-    rows = np.array([curve(grid) for curve in influences])
-    return _gram(rows, w.weights, grid)
-
-
 def default_surface_grid(times: np.ndarray, size: int = 50) -> np.ndarray:
     """Equispaced quantiles of the event times, snapped to observations."""
     times = np.asarray(times, dtype=float)
@@ -246,11 +239,9 @@ def zeta_values(
     samples stay cheap.
     """
     grid = hazard.times
-    states = hazard.states
-    j, k = states.index(pair[0]), states.index(pair[1])
+    j, k = hazard.states.index(pair[0]), hazard.states.index(pair[1])
     eval_times = np.asarray(eval_times, dtype=float)
-    n = len(sample)
-    m = len(grid)
+    n, m = len(sample), len(grid)
     if m == 0:
         return np.zeros((n, eval_times.size))
 
@@ -275,31 +266,21 @@ def zeta_values(
     base = -cum_at(cum_b1, idx_g) + cum_at(cum_s2, idx_g)
     out = np.tile(base, (n, 1))
 
-    inv_denom = 1.0 / denom
-    for ell, path in enumerate(sample.paths):
-        current = path.initial_state
-        entry = 0.0
-        for t, a, b in counting_increments(path):
-            if a == pair[0] and b == pair[1] and t <= path.end_time:
-                i = int(np.searchsorted(grid, t))
-                out[ell, idx_g >= i] += inv_denom[i]
-            if a == pair[0]:
-                iu = int(np.searchsorted(grid, entry, side="right")) - 1
-                iv = int(np.searchsorted(grid, t, side="right")) - 1
-                out[ell] -= cum_at(cum_c2, np.minimum(iv, idx_g)) - cum_at(
-                    cum_c2, np.minimum(iu, idx_g)
-                )
-            if b == pair[0]:
-                entry = t
-            current = b
-        if current == pair[0]:
-            iu = int(np.searchsorted(grid, entry, side="right")) - 1
-            iv = m - 1 if path.end_reason == ABSORBED else int(
-                np.searchsorted(grid, path.end_time, side="right")
-            ) - 1
-            out[ell] -= cum_at(cum_c2, np.minimum(iv, idx_g)) - cum_at(
-                cum_c2, np.minimum(iu, idx_g)
-            )
+    # Each stay in state j contributes, in the subject's time order, its
+    # own j->k jump (when it ends in one) and then the compensator over
+    # the stay; one ordered add keeps the per-subject summation order.
+    tab = sample.table
+    stay = tab.soj_state == j
+    entry = tab.soj_entry[stay][:, None]
+    leave = tab.soj_exit[stay][:, None]
+    steps = np.empty((entry.shape[0], 2, idx_g.size))
+    steps[:, 0] = np.where(idx_g >= leave, 1.0 / denom[leave], 0.0)
+    steps[:, 1] = -(
+        cum_at(cum_c2, np.minimum(leave, idx_g)) - cum_at(cum_c2, np.minimum(entry, idx_g))
+    )
+    own = tab.soj_next[stay] == k
+    keep = np.column_stack([own, np.ones_like(own)])
+    np.add.at(out, np.repeat(tab.soj_subj[stay], 2)[keep.ravel()], steps[keep])
     return np.sqrt(phi) * out
 
 

@@ -9,7 +9,11 @@ strictly increasing jump times.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 CENSORED = "censored"
 ABSORBED = "absorbed"
@@ -114,6 +118,99 @@ class Sample:
     def covariate_dim(self) -> int:
         return len(self.paths[0].covariates) if self.paths else 0
 
+    @cached_property
+    def table(self) -> EventTable:
+        """Columnar form of the sample, built on first use."""
+        return EventTable.build(self)
+
+
+@dataclass(frozen=True)
+class EventTable:
+    """The sample as read-only arrays over one shared event-time grid.
+
+    ``grid`` is the sorted union of all recorded jump and censoring
+    times. States are axis indices into ``state_space.states``; ``pos``,
+    ``end_pos``, ``soj_entry`` and ``soj_exit`` are indices into ``grid``.
+    Per subject: ``covariates`` (n, d), ``init``, ``final``, ``end_time``,
+    ``end_pos`` (last grid index at or before it) and ``censored``.
+
+    Jump rows ``subj, pos, src, dst`` run subject by subject, in time
+    order within a subject. A jump recorded after its subject's end of
+    follow-up keeps its grid time but is dropped from the rows; this is
+    the only place that clips. Stay rows ``soj_*`` list each sojourn in
+    the same order, one more per subject than it has jumps: entered at
+    ``soj_entry`` (-1 from time 0), left at ``soj_exit`` (the last grid
+    index once absorbed) into ``soj_next`` (-1 at the end of follow-up).
+    The jump rows are the stays with ``soj_next >= 0``.
+    """
+
+    grid: np.ndarray
+    subj: np.ndarray
+    pos: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    covariates: np.ndarray
+    init: np.ndarray
+    final: np.ndarray
+    end_time: np.ndarray
+    end_pos: np.ndarray
+    censored: np.ndarray
+    soj_subj: np.ndarray
+    soj_state: np.ndarray
+    soj_entry: np.ndarray
+    soj_exit: np.ndarray
+    soj_next: np.ndarray
+
+    @classmethod
+    def build(cls, sample: Sample) -> EventTable:
+        index = {s: i for i, s in enumerate(sample.state_space.states)}
+        times: list[float] = []
+        # (subject, state, entry time, exit time, next state); an absorbed
+        # subject's last stay never ends
+        stays: list[tuple[int, int, float, float, int]] = []
+        init, censored = [], []
+        for ell, p in enumerate(sample.paths):
+            state = index[p.initial_state]
+            init.append(state)
+            entry = 0.0
+            for t, label in p.jumps:
+                times.append(t)
+                if t <= p.end_time:
+                    stays.append((ell, state, entry, t, index[label]))
+                    state, entry = index[label], t
+            censored.append(p.end_reason == CENSORED)
+            if censored[-1]:
+                times.append(p.end_time)
+            stays.append((ell, state, entry, p.end_time if censored[-1] else math.inf, -1))
+
+        grid = np.unique(np.array(times, dtype=float))
+        cols = np.array(stays, dtype=float).reshape(-1, 5).T
+        subj, state, nxt = cols[[0, 1, 4]].astype(np.intp)
+        entry, leave = np.searchsorted(grid, cols[2:4], side="right") - 1
+        end_time = np.array([p.end_time for p in sample.paths], dtype=float)
+        jump = nxt >= 0
+        table = cls(
+            grid=grid,
+            subj=subj[jump],
+            pos=leave[jump],
+            src=state[jump],
+            dst=nxt[jump],
+            covariates=np.array([p.covariates for p in sample.paths], dtype=float),
+            init=np.array(init, dtype=np.intp),
+            final=state[~jump],
+            end_time=end_time,
+            end_pos=np.searchsorted(grid, end_time, side="right") - 1,
+            censored=np.array(censored, dtype=bool),
+            soj_subj=subj,
+            soj_state=state,
+            soj_entry=entry,
+            soj_exit=leave,
+            soj_next=nxt,
+        )
+        for column in vars(table).values():
+            column.setflags(write=False)
+        return table
+
 
 @dataclass(frozen=True)
 class EvalPoint:
@@ -171,8 +268,10 @@ def validate(sample: Sample) -> list[str]:
         where = f"subject {idx}"
         if len(path.covariates) != dim:
             problems.append(f"{where}: covariate dimension {len(path.covariates)} != {dim}")
-        if not path.end_time > 0:
-            problems.append(f"{where}: end_time must be positive, got {path.end_time}")
+        if not all(math.isfinite(c) for c in path.covariates):
+            problems.append(f"{where}: non-finite covariate in {path.covariates}")
+        if not 0 < path.end_time < math.inf:
+            problems.append(f"{where}: end_time must be positive and finite, got {path.end_time}")
         if path.end_reason not in (CENSORED, ABSORBED):
             problems.append(f"{where}: unknown end_reason {path.end_reason!r}")
         if path.initial_state not in known:
@@ -184,8 +283,8 @@ def validate(sample: Sample) -> list[str]:
         for time, state in path.jumps:
             if state not in known:
                 problems.append(f"{where}: unknown state label {state}")
-            if time <= prev_time:
-                problems.append(f"{where}: jump times must be positive and strictly increasing, got t={time}")
+            if not prev_time < time < math.inf:
+                problems.append(f"{where}: jump times must be positive, finite and strictly increasing, got t={time}")
             if time > path.end_time:
                 problems.append(f"{where}: jump at t={time} after end_time={path.end_time}")
             if state == prev_state:
@@ -240,7 +339,8 @@ def load_sample(path, schema: dict | None = None) -> Sample:
     Raises
     ------
     ParseError
-        Malformed rows, duplicate (id, time) pairs, missing columns.
+        Malformed rows, non-finite times or covariates, duplicate
+        (id, time) pairs, missing columns.
     ValidationError
         Parsed paths that violate the path invariants.
     """
@@ -282,10 +382,13 @@ def load_sample(path, schema: dict | None = None) -> Sample:
             sid = row[position[cols["id"]]].strip()
             if not sid:
                 raise ParseError(f"line {lineno}: empty subject id")
+            raw_time = row[position[cols["time"]]]
             try:
-                time = float(row[position[cols["time"]]])
+                time = float(raw_time)
             except ValueError:
-                raise ParseError(f"line {lineno}: unparsable time {row[position[cols['time']]]!r}") from None
+                raise ParseError(f"line {lineno}: unparsable time {raw_time!r}") from None
+            if not math.isfinite(time):
+                raise ParseError(f"line {lineno}: non-finite time {raw_time!r}")
             raw_state = row[position[cols["state"]]].strip()
             try:
                 state = int(raw_state)
@@ -313,11 +416,12 @@ def load_sample(path, schema: dict | None = None) -> Sample:
         covariates = []
         for name, cell in zip(covar_cols, first_cells):
             try:
-                covariates.append(float(cell))
+                value = float(cell)
             except ValueError:
-                raise ParseError(
-                    f"line {first_line}: unparsable covariate {name}={cell!r}"
-                ) from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise ParseError(f"line {first_line}: covariate {name}={cell!r} is not a finite number")
+            covariates.append(value)
         last_time, last_state, last_flag, last_line, _ = rows[-1]
         if last_flag not in ("0", "1"):
             raise ValidationError(

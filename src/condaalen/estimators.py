@@ -1,9 +1,12 @@
 """Conditional cumulative hazard and state occupation estimators.
 
 All estimators work on one shared event-time grid, the sorted union of
-every observed jump time and censoring time in the sample. Ties across
-subjects are aggregated at a single grid point. Left limits at a grid
-point are the values held on the preceding inter-event interval.
+every observed jump time and censoring time in the sample. The grid and
+every per-jump and per-subject index come from ``Sample.table`` (see
+:class:`~condaalen.data.EventTable`); the estimators only aggregate its
+arrays. Ties across subjects are aggregated at a single grid point. Left
+limits at a grid point are the values held on the preceding inter-event
+interval.
 
 The cumulative hazard matrix follows the generator sign convention: its
 diagonal is the negative row sum of the off-diagonal entries, so each
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ABSORBED, CENSORED, EvalPoint, Sample, counting_increments
+from .data import EvalPoint, Sample
 from .kernels import (
     BandwidthSchedule,
     KernelSpec,
@@ -69,12 +72,8 @@ class HazardEstimate:
 
     def exposure_left(self) -> np.ndarray:
         """Exposure left limits at each grid time, shape ``(m, S)``."""
-        cols = [self.exposure[s] for s in self.states]
-        init = np.array([c.initial for c in cols])
-        if self.times.size == 0:
-            return np.empty((0, len(cols)))
-        vals = np.column_stack([c.values for c in cols])
-        return np.vstack([init, vals[:-1]])
+        vals = np.column_stack([self.exposure[s].values for s in self.states])
+        return np.vstack([self.initial_exposure(), vals])[:-1]
 
 
 @dataclass(frozen=True)
@@ -102,78 +101,48 @@ class OccupationEstimate:
 
 def event_grid(sample: Sample) -> np.ndarray:
     """Sorted union of all jump times and censoring times in the sample."""
-    times = set()
-    for p in sample.paths:
-        times.update(t for t, _ in p.jumps)
-        if p.end_reason == CENSORED:
-            times.add(p.end_time)
-    return np.array(sorted(times))
+    return sample.table.grid
 
 
-def _weight_array(w) -> np.ndarray:
-    if isinstance(w, WeightVector):
-        return w.weights
-    return np.asarray(w, dtype=float)
-
-
-def estimate_counts(sample: Sample, w, grid: np.ndarray | None = None) -> StepMatrix:
+def estimate_counts(sample: Sample, w) -> StepMatrix:
     """Cumulative kernel-weighted transition counts on the event grid.
 
     Entry ``(j, k)`` at time ``t`` is the weight of subjects observed to
-    move from state ``j`` to state ``k`` up to ``t``. Jumps are clipped
-    at each subject's end of follow-up.
+    move from state ``j`` to state ``k`` up to ``t``. Jumps past a
+    subject's end of follow-up are not counted.
     """
-    weights = _weight_array(w)
-    if grid is None:
-        grid = event_grid(sample)
-    states = sample.state_space.states
-    index = {s: i for i, s in enumerate(states)}
-    m, size = len(grid), len(states)
-    inc = np.zeros((m, size, size))
-    for wl, p in zip(weights, sample.paths):
-        if wl == 0.0:
-            continue
-        for t, j, k in counting_increments(p):
-            if t > p.end_time:
-                continue
-            pos = int(np.searchsorted(grid, t))
-            inc[pos, index[j], index[k]] += wl
-    return StepMatrix(grid, np.cumsum(inc, axis=0))
+    tab = sample.table
+    m, size = len(tab.grid), sample.state_space.size
+    cell = (tab.pos * size + tab.src) * size + tab.dst
+    weights = np.asarray(w, dtype=float)[tab.subj]
+    inc = np.bincount(cell, weights=weights, minlength=m * size * size)
+    return StepMatrix(tab.grid, np.cumsum(inc.reshape(m, size, size), axis=0))
 
 
-def estimate_censoring(sample: Sample, w, grid: np.ndarray | None = None) -> dict[int, StepCurve]:
+def estimate_censoring(sample: Sample, w) -> dict[int, StepCurve]:
     """Per-state cumulative weight of subjects censored there by time t."""
-    weights = _weight_array(w)
-    if grid is None:
-        grid = event_grid(sample)
+    tab = sample.table
     states = sample.state_space.states
-    index = {s: i for i, s in enumerate(states)}
-    inc = np.zeros((len(grid), len(states)))
-    for wl, p in zip(weights, sample.paths):
-        if wl == 0.0 or p.end_reason != CENSORED:
-            continue
-        pos = int(np.searchsorted(grid, p.end_time))
-        inc[pos, index[p.final_state]] += wl
-    cum = np.cumsum(inc, axis=0)
-    return {s: StepCurve(grid, cum[:, i], 0.0) for i, s in enumerate(states)}
+    m, size = len(tab.grid), len(states)
+    cell = tab.end_pos[tab.censored] * size + tab.final[tab.censored]
+    weights = np.asarray(w, dtype=float)[tab.censored]
+    inc = np.bincount(cell, weights=weights, minlength=m * size)
+    cum = np.cumsum(inc.reshape(m, size), axis=0)
+    return {s: StepCurve(tab.grid, cum[:, i], 0.0) for i, s in enumerate(states)}
 
 
 def estimate_exposure(
     counts: StepMatrix,
     censoring: dict[int, StepCurve],
     initial,
-    states: tuple[int, ...] | None = None,
+    states: tuple[int, ...],
 ) -> dict[int, StepCurve]:
     """Per-state exposure built from the flow decomposition.
 
     The exposure in a state equals its weight at time zero, minus the
     weight censored there, plus the net weighted count flow in and out.
-    ``states`` gives the label of each matrix axis; by default the key
-    order of ``censoring`` is used, which matches how
-    :func:`estimate_censoring` builds it.
+    ``states`` gives the label of each matrix axis.
     """
-    if states is None:
-        states = tuple(censoring.keys())
     initial = np.asarray(initial, dtype=float)
     grid = counts.times
     d_counts = counts.increments()
@@ -188,15 +157,8 @@ def estimate_exposure(
     return out
 
 
-def nelson_aalen(
-    sample: Sample,
-    x: EvalPoint,
-    spec: KernelSpec,
-    schedule: BandwidthSchedule,
-    epsilon: float,
-    weights: WeightVector | None = None,
-) -> HazardEstimate:
-    """Conditional cumulative hazard at ``x`` with floored denominators.
+def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> HazardEstimate:
+    """Conditional cumulative hazard under conditioning ``weights``.
 
     Each off-diagonal hazard increment at a grid time is the weighted
     count increment divided by the exposure left limit, floored at
@@ -206,35 +168,24 @@ def nelson_aalen(
     Raises
     ------
     NoKernelMass
-        If no path carries kernel mass at ``x``.
+        If the weights are degenerate: no path carries kernel mass.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    if weights is None:
-        a = bandwidth(schedule, len(sample))
-        weights = nw_weights(sample, x, spec, a)
     if weights.degenerate:
-        raise NoKernelMass(f"no kernel mass at x={tuple(x.coords)}")
+        raise NoKernelMass("no kernel mass in the conditioning weights")
     w = weights.weights
     states = sample.state_space.states
     grid = event_grid(sample)
-    counts = estimate_counts(sample, w, grid)
-    censoring = estimate_censoring(sample, w, grid)
-    initial = np.zeros(len(states))
-    index = {s: i for i, s in enumerate(states)}
-    for wl, p in zip(w, sample.paths):
-        initial[index[p.initial_state]] += wl
+    counts = estimate_counts(sample, w)
+    censoring = estimate_censoring(sample, w)
+    initial = np.bincount(sample.table.init, weights=w, minlength=len(states))
     exposure = estimate_exposure(counts, censoring, initial, states)
 
-    m, size = len(grid), len(states)
-    if m:
-        expo_vals = np.column_stack([exposure[s].values for s in states])
-        expo_left = np.vstack([initial, expo_vals[:-1]])
-    else:
-        expo_left = np.empty((0, size))
+    expo_left = np.vstack([initial, np.column_stack([exposure[s].values for s in states])])[:-1]
     denom = np.maximum(expo_left, epsilon)
     d_hazard = counts.increments() / denom[:, :, None]
-    diag = np.arange(size)
+    diag = np.arange(len(states))
     d_hazard[:, diag, diag] = 0.0
     d_hazard[:, diag, diag] = -d_hazard.sum(axis=2)
     hazard = StepMatrix(grid, np.cumsum(d_hazard, axis=0))
@@ -331,16 +282,16 @@ def fit(
     schedule = BandwidthSchedule.for_point(x, eta=eta, explicit=explicit_bandwidth)
     a = bandwidth(schedule, len(sample))
     weights = nw_weights(sample, x, spec, a)
-    hazard = nelson_aalen(sample, x, spec, schedule, epsilon, weights=weights)
+    try:
+        hazard = nelson_aalen(sample, weights, epsilon)
+    except NoKernelMass:
+        raise NoKernelMass(f"no kernel mass at x={tuple(x.coords)}") from None
     occupation = aalen_johansen(hazard, hazard.initial_exposure())
     if theta is None:
-        censor_times = [
-            p.end_time
-            for wl, p in zip(weights.weights, sample.paths)
-            if wl > 0.0 and p.end_reason == CENSORED
-        ]
-        if censor_times:
-            theta = max(censor_times)
+        tab = sample.table
+        censor_times = tab.end_time[(weights.weights > 0.0) & tab.censored]
+        if censor_times.size:
+            theta = censor_times.max()
         else:
             theta = float(hazard.times[-1]) if hazard.times.size else 0.0
     phi = phi_estimate(spec, weights.density_value, x.atom_flags)

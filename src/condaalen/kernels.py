@@ -167,25 +167,6 @@ class WeightVector:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
 
-def _path_factors(sample: Sample, x: EvalPoint, spec: KernelSpec, a: float) -> np.ndarray:
-    n = len(sample)
-    covars = np.array([p.covariates for p in sample.paths], dtype=float)
-    factors = np.ones(n)
-    for i in range(spec.dim):
-        xi = x.coords[i]
-        col = covars[:, i]
-        atom_set = spec.atoms[i]
-        if xi in atom_set:
-            factors *= col == xi
-        else:
-            contrib = kernel_eval(spec.kernels[i], (xi - col) / a) / a
-            if atom_set:
-                on_atom = np.isin(col, atom_set)
-                contrib = np.where(on_atom, 0.0, contrib)
-            factors *= contrib
-    return factors
-
-
 def nw_weights(sample: Sample, x: EvalPoint, spec: KernelSpec, a: float) -> WeightVector:
     """Kernel conditioning weights at ``x`` with bandwidth ``a``.
 
@@ -203,7 +184,14 @@ def nw_weights(sample: Sample, x: EvalPoint, spec: KernelSpec, a: float) -> Weig
         raise ValueError("empty sample")
     if sample.covariate_dim != spec.dim:
         raise ValueError("sample covariate dimension does not match spec")
-    factors = _path_factors(sample, x, spec, a)
+    factors = np.ones(len(sample))
+    for i, (xi, atom_set) in enumerate(zip(x.coords, spec.atoms)):
+        col = sample.table.covariates[:, i]
+        if xi in atom_set:
+            factors *= col == xi
+        else:
+            contrib = kernel_eval(spec.kernels[i], (xi - col) / a) / a
+            factors *= np.where(np.isin(col, atom_set), 0.0, contrib)
     total = float(factors.sum())
     if total <= 0.0:
         return WeightVector(np.zeros(len(sample)), 0.0, True)

@@ -53,23 +53,6 @@ def test_simulate_overrides_n_and_seed(workspace, tmp_path):
     assert len(load_sample(out)) == 10
 
 
-def test_simulate_threads_keep_order(workspace, tmp_path):
-    out = tmp_path / "threaded.csv"
-    code = main(
-        [
-            "simulate",
-            "--scenario",
-            str(workspace / "scenario.json"),
-            "--threads",
-            "4",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
-    assert out.read_bytes() == (workspace / "sample.csv").read_bytes()
-
-
 def test_simulate_rejects_bad_scenario(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -149,6 +132,35 @@ def test_fit_degenerate_point_exits_2(workspace, capsys):
     )
     assert code == 2
     assert "no kernel mass" in capsys.readouterr().err
+
+
+_GOOD_ROWS = [
+    "id,time,state,end,x1",
+    "a,0,1,,0.3",
+    "a,0.5,2,0,",
+    "b,0,1,,0.6",
+    "b,1.0,1,1,",
+]
+
+
+@pytest.mark.parametrize(
+    "line, row",
+    [
+        (4, "b,0,1,,nan"),  # NaN covariate
+        (5, "b,inf,1,1,"),  # infinite censoring time
+        (3, "a,nan,2,0,"),  # NaN jump time
+    ],
+)
+def test_fit_rejects_non_finite_input(tmp_path, capsys, line, row):
+    rows = list(_GOOD_ROWS)
+    rows[line - 1] = row
+    data = tmp_path / "bad.csv"
+    data.write_text("\n".join(rows) + "\n")
+    code = main(["fit", "--input", str(data), "--x", "0.5", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"line {line}" in err
+    assert "Traceback" not in err
 
 
 def test_fit_atoms_flag(workspace, tmp_path):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from condaalen.data import (
@@ -205,6 +206,9 @@ def test_validate_clean():
         (ObservedPath((0.1,), 1, ((2.0, 3),), 1.0, ABSORBED), "after end_time"),
         (ObservedPath((0.1,), 1, (), 1.0, "lost"), "end_reason"),
         (ObservedPath((0.1,), 4, (), 1.0, CENSORED), "unknown state"),
+        (ObservedPath((float("nan"),), 1, (), 1.0, CENSORED), "non-finite covariate"),
+        (ObservedPath((0.1,), 1, (), float("inf"), CENSORED), "positive and finite"),
+        (ObservedPath((0.1,), 1, ((float("nan"), 2),), 1.0, CENSORED), "finite and strictly increasing"),
     ],
 )
 def test_validate_flags_violation(path, needle):
@@ -228,3 +232,24 @@ def test_state_space_validation():
     assert sp.index(2) == 1
     with pytest.raises(KeyError):
         sp.index(7)
+
+
+def test_event_table_rows_and_clip():
+    a = ObservedPath((0.2,), 1, ((0.5, 2), (1.0, 3)), 1.0, ABSORBED)
+    # a jump recorded after the end of follow-up stays on the grid only
+    b = ObservedPath((0.4,), 2, ((2.0, 1),), 1.5, CENSORED)
+    sample = Sample((a, b), _space())
+    tab = sample.table
+    assert sample.table is tab
+    np.testing.assert_array_equal(tab.grid, [0.5, 1.0, 1.5, 2.0])
+    assert (tab.subj.tolist(), tab.pos.tolist()) == ([0, 0], [0, 1])
+    assert (tab.src.tolist(), tab.dst.tolist()) == ([0, 1], [1, 2])
+    assert (tab.init.tolist(), tab.final.tolist()) == ([0, 1], [2, 1])
+    assert (tab.end_pos.tolist(), tab.censored.tolist()) == ([1, 2], [False, True])
+    np.testing.assert_array_equal(tab.covariates, [[0.2], [0.4]])
+    assert tab.soj_subj.tolist() == [0, 0, 0, 1]
+    assert tab.soj_state.tolist() == [0, 1, 2, 1]
+    assert tab.soj_entry.tolist() == [-1, 0, 1, -1]
+    assert tab.soj_exit.tolist() == [0, 1, 3, 2]
+    assert tab.soj_next.tolist() == [1, 2, -1, -1]
+    assert not any(col.flags.writeable for col in vars(tab).values())

@@ -14,7 +14,13 @@ from condaalen.estimators import (
     nelson_aalen,
     product_integral,
 )
-from condaalen.kernels import BandwidthSchedule, KernelSpec, NoKernelMass
+from condaalen.kernels import (
+    BandwidthSchedule,
+    KernelSpec,
+    NoKernelMass,
+    bandwidth,
+    nw_weights,
+)
 from condaalen.stepfun import StepMatrix
 
 
@@ -24,6 +30,12 @@ def _two_path_sample():
     a = ObservedPath((0.5,), 1, ((1.0, 2),), 1.0, ABSORBED)
     b = ObservedPath((0.5,), 1, (), 2.0, CENSORED)
     return Sample((a, b), space)
+
+
+def _weights_at(sample, coord):
+    spec = KernelSpec.for_dims(1)
+    a = bandwidth(BandwidthSchedule(), len(sample))
+    return nw_weights(sample, spec.eval_point((coord,)), spec, a)
 
 
 def test_event_grid_contents():
@@ -65,9 +77,8 @@ def test_censoring_two_paths():
 
 def test_exposure_two_paths():
     s = _two_path_sample()
-    grid = event_grid(s)
-    counts = estimate_counts(s, [0.5, 0.5], grid)
-    cens = estimate_censoring(s, [0.5, 0.5], grid)
+    counts = estimate_counts(s, [0.5, 0.5])
+    cens = estimate_censoring(s, [0.5, 0.5])
     expo = estimate_exposure(counts, cens, [1.0, 0.0], (1, 2))
     assert expo[1].initial == 1.0
     np.testing.assert_allclose(expo[1].values, [0.5, 0.0])
@@ -77,8 +88,7 @@ def test_exposure_two_paths():
 
 def test_hazard_two_paths():
     s = _two_path_sample()
-    spec = KernelSpec.for_dims(1)
-    h = nelson_aalen(s, spec.eval_point((0.5,)), spec, BandwidthSchedule(), 1e-4)
+    h = nelson_aalen(s, _weights_at(s, 0.5), 1e-4)
     np.testing.assert_array_equal(h.times, [1.0, 2.0])
     np.testing.assert_allclose(h.hazard.at(1.0), [[-0.5, 0.5], [0.0, 0.0]])
     np.testing.assert_allclose(h.hazard.at(2.0), [[-0.5, 0.5], [0.0, 0.0]])
@@ -127,9 +137,8 @@ def test_hazard_epsilon_monotone():
 
 def test_hazard_rejects_bad_epsilon():
     s = _two_path_sample()
-    spec = KernelSpec.for_dims(1)
     with pytest.raises(ValueError):
-        nelson_aalen(s, spec.eval_point((0.5,)), spec, BandwidthSchedule(), 0.0)
+        nelson_aalen(s, _weights_at(s, 0.5), 0.0)
 
 
 def test_fit_raises_without_kernel_mass():
@@ -219,14 +228,6 @@ def test_exposure_identity_against_direct_scan(sim_sample):
             )
             idx = int(np.searchsorted(grid, t))
             assert h.exposure_left()[idx, i] == pytest.approx(direct_left, abs=1e-12)
-
-
-def test_counts_default_grid_matches_explicit(sim_sample):
-    w = np.full(len(sim_sample), 1.0 / len(sim_sample))
-    auto = estimate_counts(sim_sample, w)
-    explicit = estimate_counts(sim_sample, w, event_grid(sim_sample))
-    np.testing.assert_array_equal(auto.times, explicit.times)
-    np.testing.assert_array_equal(auto.values, explicit.values)
 
 
 def test_fit_theta_override_flags_tail(sim_sample):
