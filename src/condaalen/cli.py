@@ -19,6 +19,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .covariance import default_surface_grid, hazard_covariance, occupation_covariance
 from .data import ParseError, Sample, ValidationError, load_sample, write_sample
 from .estimators import FitResult, fit
@@ -83,10 +85,20 @@ def _load_and_fit(args) -> tuple[Sample, list[FitResult]]:
 
 
 def _warn_flags(result: FitResult, label: str) -> None:
-    flagged = sum(len(v) for v in result.hazard.floor_active.values())
-    if flagged:
+    hazard = result.hazard
+    outflow = hazard.counts.increments().sum(axis=2)
+    # the floor changed a hazard increment only where some weight left the state
+    changed = sorted(
+        (t, s)
+        for a, s in enumerate(hazard.states)
+        for t in hazard.floor_active[s]
+        if outflow[np.searchsorted(hazard.times, t), a] > 0.0
+    )
+    if changed:
+        t, s = changed[0]
         print(
-            f"warning: {label}: denominator floor engaged at {flagged} state-time pairs",
+            f"warning: {label}: denominator floor engaged at {len(changed)} state-time "
+            f"pairs with outgoing events, first in state {s} at t={_fmt(t)}",
             file=sys.stderr,
         )
     beyond = result.beyond_theta()
@@ -236,12 +248,13 @@ def cmd_covariance(args) -> int:
 
 
 def _write_surface(surface, path: str) -> None:
+    # The same bytes as csv.writer: no field needs quoting, lines end in CRLF.
+    labels = [_fmt(t) for t in surface.grid]
+    lines = ["s,t,value"]
+    for s, row in zip(labels, surface.values.tolist()):
+        lines.extend(f"{s},{t},{_fmt(v)}" for t, v in zip(labels, row))
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["s", "t", "value"])
-        for a, s in enumerate(surface.grid):
-            for b, t in enumerate(surface.grid):
-                writer.writerow([_fmt(s), _fmt(t), _fmt(surface.values[a, b])])
+        handle.write("\r\n".join(lines) + "\r\n")
 
 
 def cmd_check(args) -> int:

@@ -7,6 +7,31 @@ influence has two parts: a martingale-like term with floored
 denominators and a compensating term that is switched off wherever the
 floor engaged. The occupation influence propagates hazard perturbations
 through the product integral.
+
+The surfaces are computed for all subjects at once. :func:`zeta_values`
+adds each subject's stays as differences of cumulative sums.
+:func:`gamma_values` uses the Duhamel / delta-method form of the
+Aalen-Johansen influence (Andersen, Borgan, Gill & Keiding 1993,
+section IV.4): a subject's occupation influence at surface-grid index
+``g`` is the sum over grid indices ``i <= g`` of ``p(u-) dZ_i P(i, g)``,
+where ``p(u-)`` is the occupation left limit, ``dZ_i`` the subject's
+hazard-influence increment in generator form and ``P(i, g)`` the
+product of ``I + dA_l`` over ``l`` in ``(i, g]``. The increment splits
+into three parts:
+
+- a part common to all subjects, ``-dC / denom + 1{E > eps} dA``;
+- a part picked by the subject's at-risk state, ``-Y 1{E > eps} dA / E``;
+- the subject's own jumps, ``+1 / denom``.
+
+One backward pass over the event grid carries ``P(i, g)`` for every
+``g`` as a stack, with a running sum for the common part and one per
+state for the at-risk part. A stay adds its state's sum at its entry
+and subtracts it at its exit; a jump adds its own term where it
+happens. For m event times, G surface-grid points and S states the
+pass costs O(m G S^3 + (#stays + #jumps) G S) arithmetic, linear in n,
+and needs O(n G S + m S^2) extra memory. :func:`influence_zeta` and
+:func:`influence_gamma` compute one subject literally; they are the test
+oracles for the vectorised forms.
 """
 
 from __future__ import annotations
@@ -284,6 +309,94 @@ def zeta_values(
     return np.sqrt(phi) * out
 
 
+def _generator(off: np.ndarray) -> np.ndarray:
+    """Set the diagonal of each ``(S, S)`` slice to its negative off-diagonal row sum."""
+    diag = np.arange(off.shape[-1])
+    off[..., diag, diag] = 0.0
+    off[..., diag, diag] = -off.sum(axis=-1)
+    return off
+
+
+def gamma_values(
+    sample: Sample,
+    hazard: HazardEstimate,
+    occupation: OccupationEstimate,
+    phi: float,
+    eval_times,
+) -> np.ndarray:
+    """All subjects' occupation influence at selected times.
+
+    Returns an ``(n, len(eval_times), S)`` array, state axis in
+    ``hazard.states`` order, equal row by row to :func:`influence_gamma`
+    of :func:`influence_zeta` evaluated at ``eval_times``. One backward
+    pass over the event grid serves every subject (see the module
+    docstring).
+    """
+    grid = hazard.times
+    eval_times = np.asarray(eval_times, dtype=float)
+    n, m, size = len(sample), len(grid), len(hazard.states)
+    out = np.zeros((n, eval_times.size, size))
+    if m == 0:
+        return out
+
+    expo_left = hazard.exposure_left()
+    denom = np.maximum(expo_left, hazard.epsilon)
+    above = (expo_left > hazard.epsilon)[:, :, None]
+    d_counts = hazard.counts.increments()
+    d_haz = hazard.hazard.increments()
+    p_left = np.vstack([occupation.initial, occupation.values])[:-1]
+
+    common = _generator(np.where(above, d_haz, 0.0) - d_counts / denom[:, :, None])
+    at_risk = np.zeros_like(d_haz)
+    np.divide(d_haz, expo_left[:, :, None], out=at_risk, where=above)
+    at_risk = _generator(-at_risk)
+    # Rows 0..S-1 of left[i]: p(u-)_j times the at-risk row of state j;
+    # row S: the common term p(u-) @ common.
+    left = np.concatenate([p_left[:, :, None] * at_risk, p_left[:, None, :] @ common], axis=1)
+
+    tab = sample.table
+    # A stay in j over grid indices (entry, exit] collects acc[j] at
+    # entry + 1 minus acc[j] at exit + 1, where acc[j] sums left rows
+    # carried to the surface grid from the current index onwards.
+    step = np.concatenate([tab.soj_entry, tab.soj_exit]) + 1
+    order = np.argsort(step, kind="stable")
+    step = step[order]
+    b_subj = np.concatenate([tab.soj_subj, tab.soj_subj])[order]
+    b_state = np.concatenate([tab.soj_state, tab.soj_state])[order]
+    b_sign = np.repeat([1.0, -1.0], tab.soj_subj.size)[order]
+    b_bound = np.searchsorted(step, np.arange(m + 1))
+
+    order = np.argsort(tab.pos, kind="stable")
+    j_pos, j_subj, j_src, j_dst = (a[order] for a in (tab.pos, tab.subj, tab.src, tab.dst))
+    j_coef = (p_left[j_pos, j_src] / denom[j_pos, j_src])[:, None, None]
+    j_bound = np.searchsorted(j_pos, np.arange(m + 1))
+
+    # carry[g] = product of (I + dA_l) over l in (i, idx_g], zero once i > idx_g
+    idx_g = np.searchsorted(grid, eval_times, side="right") - 1
+    eye = np.eye(size)
+    carry = np.zeros((eval_times.size, size, size))
+    carry[idx_g == m - 1] = eye
+    acc = np.zeros((size + 1, eval_times.size, size))
+    live = left.any(axis=(1, 2))
+    moves = d_haz.any(axis=(1, 2))
+    for i in range(m - 1, -1, -1):
+        if live[i]:
+            acc += np.matmul(left[i], carry).transpose(1, 0, 2)
+        lo, hi = b_bound[i], b_bound[i + 1]
+        if lo < hi:
+            np.add.at(out, b_subj[lo:hi], b_sign[lo:hi, None, None] * acc[b_state[lo:hi]])
+        lo, hi = j_bound[i], j_bound[i + 1]
+        if lo < hi:
+            jumps = carry[:, j_dst[lo:hi]] - carry[:, j_src[lo:hi]]
+            np.add.at(out, j_subj[lo:hi], j_coef[lo:hi] * jumps.transpose(1, 0, 2))
+        if i > 0:
+            if moves[i]:
+                carry = np.matmul(eye + d_haz[i], carry)
+            carry[idx_g == i - 1] = eye
+    out += acc[size]
+    return np.sqrt(phi) * out
+
+
 def hazard_covariance(
     sample: Sample,
     w: WeightVector,
@@ -312,10 +425,5 @@ def occupation_covariance(
     if grid is None:
         grid = default_surface_grid(hazard.times)
     grid = np.asarray(grid, dtype=float)
-    rows = {s: np.empty((len(sample), grid.size)) for s in hazard.states}
-    for ell in range(len(sample)):
-        zeta = influence_zeta(sample, hazard, phi, ell)
-        gamma = influence_gamma(hazard, occupation, zeta, ell)
-        for s in hazard.states:
-            rows[s][ell] = gamma.curves[s](grid)
-    return {s: _gram(rows[s], w.weights, grid) for s in hazard.states}
+    rows = gamma_values(sample, hazard, occupation, phi, grid)
+    return {s: _gram(rows[:, :, i], w.weights, grid) for i, s in enumerate(hazard.states)}

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from condaalen.cli import main
-from condaalen.data import load_sample
+from condaalen.checks import _floor_sample
+from condaalen.cli import _write_surface, main
+from condaalen.covariance import CovarianceSurface
+from condaalen.data import load_sample, write_sample
 from condaalen.simulate import default_scenario_json
 
 
@@ -216,7 +218,19 @@ def test_fit_warns_on_floor_and_horizon(workspace, capsys):
     assert code == 0
     err = capsys.readouterr().err
     assert "beyond horizon" in err
-    assert "floor engaged" in err
+    # floors engage here only where no subject leaves the state
+    assert "floor engaged" not in err
+
+
+def test_fit_warns_when_floor_changes_an_increment(tmp_path, capsys):
+    sample = tmp_path / "floor.csv"
+    write_sample(_floor_sample(), sample)
+    argv = ["fit", "--input", str(sample), "--x", "0.5", "--bandwidth", "1.0"]
+    code = main(argv + ["--epsilon", "0.3", "--out", str(tmp_path / "fit")])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "floor engaged at 2 state-time pairs with outgoing events" in err
+    assert "first in state 1 at t=3" in err
 
 
 def test_covariance_outputs(workspace):
@@ -246,6 +260,28 @@ def test_covariance_outputs(workspace):
     assert np.linalg.eigvalsh(values).min() >= -1e-10
     for s in (1, 2, 3):
         assert (out / f"cov_occupation_{s}_0.csv").exists()
+
+
+def test_surface_writer_matches_csv_writer(tmp_path):
+    grid = np.array([0.5, 1.0, 2.0, 1e-300])
+    values = np.array(
+        [
+            [-0.0, 1e-300, -2.5, 3.0],
+            [1e300, -1.0 / 3.0, 0.0, -7.0],
+            [2.0**-1074, 1.0, 123456789.0, -1e-5],
+            [0.1, -0.0, 5e-324, 2.0],
+        ]
+    )
+    path = tmp_path / "surface.csv"
+    _write_surface(CovarianceSurface(grid, values), str(path))
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["s", "t", "value"])
+        for a, s in enumerate(grid):
+            for b, t in enumerate(grid):
+                writer.writerow([format(s, ".17g"), format(t, ".17g"), format(values[a, b], ".17g")])
+    assert path.read_bytes() == expected.read_bytes()
 
 
 def test_check_quick_passes(capsys):

@@ -5,6 +5,7 @@ from condaalen.covariance import (
     CovarianceSurface,
     cov_hazard,
     default_surface_grid,
+    gamma_values,
     hazard_covariance,
     influence_gamma,
     influence_zeta,
@@ -182,6 +183,23 @@ def test_vectorized_zeta_matches_per_subject(sim_sample):
         for subject in range(0, len(sim_sample), 13):
             curve = influence_zeta(sim_sample, h, r.phi, subject).curves[pair]
             np.testing.assert_allclose(block[subject], curve(eval_times), atol=1e-12)
+
+
+def test_vectorized_gamma_matches_per_subject(sim_sample):
+    r = fit(sim_sample, (0.5,))
+    h = r.hazard
+    eval_times = np.concatenate([
+        [0.0, h.times[0] / 2],
+        h.times[:: max(1, len(h.times) // 9)],
+        [(h.times[3] + h.times[4]) / 2, h.times[-1] + 5.0],
+    ])
+    block = gamma_values(sim_sample, h, r.occupation, r.phi, eval_times)
+    assert block.shape == (len(sim_sample), eval_times.size, len(h.states))
+    for subject in range(0, len(sim_sample), 13):
+        zeta = influence_zeta(sim_sample, h, r.phi, subject)
+        curves = influence_gamma(h, r.occupation, zeta, subject).curves
+        for i, s in enumerate(h.states):
+            np.testing.assert_allclose(block[subject, :, i], curves[s](eval_times), atol=1e-12)
 
 
 def test_gram_rank_one():

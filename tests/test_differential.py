@@ -10,7 +10,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condaalen.covariance import influence_zeta, zeta_values
+from condaalen.covariance import (
+    influence_gamma,
+    influence_zeta,
+    occupation_covariance,
+    zeta_values,
+)
 from condaalen.data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace, validate
 from condaalen.estimators import fit
 from condaalen.kernels import KernelSpec
@@ -90,3 +95,29 @@ def test_zeta_values_match_influence_zeta(case):
         curves = influence_zeta(sample, r.hazard, r.phi, subject).curves
         for pair in pairs:
             np.testing.assert_allclose(blocks[pair][subject], curves[pair](eval_times), **CLOSE)
+
+
+@given(fits())
+@settings(max_examples=60, deadline=None)
+def test_occupation_covariance_matches_per_subject_gram(case):
+    sample, spec, x, bandwidth, epsilon = case
+    r = fit(sample, x, spec, explicit_bandwidth=bandwidth, epsilon=epsilon)
+    times = r.hazard.times
+    grid = np.concatenate([[0.0], times, times + TICK / 2])
+    states = r.hazard.states
+    rows = np.empty((len(sample), grid.size, len(states)))
+    for subject in range(len(sample)):
+        zeta = influence_zeta(sample, r.hazard, r.phi, subject)
+        curves = influence_gamma(r.hazard, r.occupation, zeta, subject).curves
+        for i, s in enumerate(states):
+            rows[subject, :, i] = curves[s](grid)
+    w = r.weights.weights
+    surfaces = occupation_covariance(sample, r.weights, r.hazard, r.occupation, r.phi, grid)
+    for i, s in enumerate(states):
+        literal = (rows[:, :, i] * w[:, None]).T @ rows[:, :, i]
+        np.testing.assert_array_equal(surfaces[s].values, surfaces[s].values.T)
+        # Rows within CLOSE of the literal ones move the Gram by up to about
+        # 1e-12 * (sum(w) + its largest entry); the sum keeps the bound
+        # above zero where every subject's influence cancels exactly.
+        atol = 1e-12 * (w.sum() + np.abs(literal).max())
+        np.testing.assert_allclose(surfaces[s].values, literal, rtol=1e-12, atol=atol)
