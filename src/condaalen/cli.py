@@ -8,7 +8,9 @@ significant digits so every value round-trips exactly; runs with the
 same configuration and seed are byte-identical.
 
 Exit codes: 0 on success, 2 when an evaluation point carries no kernel
-mass, 1 on any other failure.
+mass, 1 on any other failure, usage errors included. Numeric options are
+range-checked while the command line is parsed, before any file is read
+or written.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -36,12 +39,35 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _checked(convert, ok, requirement: str):
+    """An argparse ``type`` that converts a value and range-checks it."""
+
+    def parse(raw: str):
+        value = convert(raw)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {raw!r}")
+        return value
+
+    # argparse reports a ValueError as "invalid <__name__> value: ..."
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_positive = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_nonnegative = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_unit_open = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+
+
 def _parse_x(raw: str, dim: int) -> tuple[float, ...]:
     parts = [p.strip() for p in raw.split(",")]
     try:
         coords = tuple(float(p) for p in parts)
     except ValueError:
         raise ValueError(f"bad --x value {raw!r}") from None
+    if not all(math.isfinite(c) for c in coords):
+        raise ValueError(f"--x {raw!r} has a non-finite coordinate")
     if len(coords) != dim:
         raise ValueError(f"--x {raw!r} has {len(coords)} coordinates, data has {dim}")
     return coords
@@ -192,6 +218,8 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     n = args.n if args.n is not None else scenario["n"]
     seed = args.seed if args.seed is not None else scenario["seed"]
+    if n < 1 or seed < 0:
+        raise ValueError(f"scenario needs n >= 1 and seed >= 0, got n={n}, seed={seed}")
     intensity, censoring = scenario["intensity"], scenario["censoring"]
     paths = tuple(simulate_path(intensity, censoring, seed, i) for i in range(n))
     sample = Sample(paths, intensity.state_space)
@@ -293,14 +321,24 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
         default="epanechnikov",
         choices=["epanechnikov", "triangular", "uniform"],
     )
-    parser.add_argument("--eta", type=float, default=0.75, help="bandwidth exponent in (0,1)")
-    parser.add_argument("--bandwidth", type=float, default=None, help="explicit bandwidth override")
-    parser.add_argument("--epsilon", type=float, default=1e-4, help="denominator floor")
-    parser.add_argument("--theta", type=float, default=None, help="estimation horizon")
+    parser.add_argument("--eta", type=_unit_open, default=0.75, help="bandwidth exponent in (0,1)")
+    parser.add_argument(
+        "--bandwidth", type=_positive, default=None, help="explicit bandwidth override"
+    )
+    parser.add_argument("--epsilon", type=_positive, default=1e-4, help="denominator floor")
+    parser.add_argument("--theta", type=_nonnegative, default=None, help="estimation horizon")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors mapped to exit code 1; 2 means no kernel mass."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(_EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="condaalen",
         description="Conditional hazard and occupation estimation for jump processes",
     )
@@ -309,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="draw a sample from a scenario file")
     p_sim.add_argument("--scenario", required=True, help="scenario JSON file")
     p_sim.add_argument("--out", required=True, help="sample CSV to write")
-    p_sim.add_argument("--n", type=int, default=None, help="override scenario n")
-    p_sim.add_argument("--seed", type=int, default=None, help="override scenario seed")
+    p_sim.add_argument("--n", type=_count, default=None, help="override scenario n")
+    p_sim.add_argument("--seed", type=_seed, default=None, help="override scenario seed")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="conditional hazard and occupation estimates")
@@ -320,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cov = sub.add_parser("covariance", help="plug-in covariance surfaces")
     _add_fit_flags(p_cov)
-    p_cov.add_argument("--grid", type=int, default=50, help="surface grid size")
+    p_cov.add_argument("--grid", type=_count, default=50, help="surface grid size")
     p_cov.set_defaults(func=cmd_covariance)
 
     p_check = sub.add_parser("check", help="run the acceptance suite")
@@ -331,8 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # usage errors (exit 1) and --help (exit 0) return like any command
+        return stop.code
     try:
         return args.func(args)
     except NoKernelMass as err:

@@ -63,6 +63,15 @@ def test_simulate_rejects_bad_scenario(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_rejects_empty_scenario(tmp_path, capsys):
+    scenario = tmp_path / "empty.json"
+    scenario.write_text(json.dumps(default_scenario_json(n=0, seed=1)))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+    assert "n >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_writes_expected_files(workspace):
     out = workspace / "fit"
     code = main(
@@ -319,3 +328,45 @@ def test_round_trip_through_cli(workspace, tmp_path):
     copy = tmp_path / "copy.csv"
     write_sample(s, copy)
     assert copy.read_bytes() == (workspace / "sample.csv").read_bytes()
+
+
+FIT = ["fit", "--input", "{sample}", "--out", "{out}"]
+COV = ["covariance", "--input", "{sample}", "--out", "{out}"]
+SIM = ["simulate", "--scenario", "{scenario}", "--out", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (FIT + ["--x", "0.5", "--theta", "inf", "--json"], "--theta"),
+        (FIT + ["--x", "0.5", "--theta", "nan", "--json"], "--theta"),
+        (COV + ["--x", "0.5", "--grid", "0"], "--grid"),
+        (COV + ["--x", "0.5", "--grid", "-3"], "--grid"),
+        (SIM + ["--n", "-2"], "--n"),
+        (SIM + ["--n", "0"], "--n"),
+        (FIT + ["--x", "nan"], "--x"),
+        (FIT + ["--x", "0.5", "--epsilon", "abc"], "--epsilon"),
+        (["fit", "--out", "{out}", "--x", "0.5"], "--input"),
+        (["frobnicate", "--out", "{out}"], "frobnicate"),
+    ],
+    ids=[
+        "theta-inf", "theta-nan", "grid-0", "grid-negative", "n-negative", "n-0",
+        "x-nan", "epsilon-abc", "missing-input", "unknown-subcommand",
+    ],
+)
+def test_cli_rejects_bad_arguments(workspace, tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    paths = dict(
+        sample=workspace / "sample.csv", scenario=workspace / "scenario.json", out=out
+    )
+    code = main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert flag in err.strip().splitlines()[-1]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    assert main(["fit", "--help"]) == 0
+    assert "--epsilon" in capsys.readouterr().out

@@ -7,6 +7,7 @@ window, and the floor is sometimes large enough to engage.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,9 +18,10 @@ from condaalen.covariance import (
     zeta_values,
 )
 from condaalen.data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace, validate
-from condaalen.estimators import fit
+from condaalen.estimators import HazardEstimate, aalen_johansen, fit
 from condaalen.kernels import KernelSpec
 from condaalen.simulate import brute_force_estimator
+from condaalen.stepfun import StepMatrix
 
 SPACE = StateSpace((1, 2, 3), frozenset({3}))
 TICK = 0.25
@@ -121,3 +123,68 @@ def test_occupation_covariance_matches_per_subject_gram(case):
         # above zero where every subject's influence cancels exactly.
         atol = 1e-12 * (w.sum() + np.abs(literal).max())
         np.testing.assert_allclose(surfaces[s].values, literal, rtol=1e-12, atol=atol)
+
+
+def _stepwise_occupation(hazard, initial):
+    """The recursion one grid step at a time, skipping steps with dA = 0."""
+    inc = hazard.hazard.increments()
+    values = np.empty((len(hazard.times), initial.size))
+    p = initial.copy()
+    for i in range(len(hazard.times)):
+        step = inc[i]
+        if step.any():
+            p = p + p @ step
+        values[i] = p
+    return values
+
+
+@given(fits())
+@settings(max_examples=100, deadline=None)
+def test_aalen_johansen_matches_stepwise_recursion(case):
+    sample, spec, x, bandwidth, epsilon = case
+    r = fit(sample, x, spec, explicit_bandwidth=bandwidth, epsilon=epsilon)
+    initial = r.hazard.initial_exposure()
+    occ = aalen_johansen(r.hazard, initial)
+    assert np.array_equal(occ.values, _stepwise_occupation(r.hazard, initial))
+
+
+def _generator_steps(rates):
+    """Hazard estimate whose increments are generators with these off-diagonal rates."""
+    inc = np.array(rates, dtype=float).reshape(-1, 3, 3)
+    diag = np.arange(3)
+    inc[:, diag, diag] = -inc.sum(axis=2)
+    times = np.arange(1.0, len(inc) + 1.0)
+    hazard = StepMatrix(times, np.cumsum(inc, axis=0))
+    counts = StepMatrix(times, np.zeros((len(inc), 3, 3)))
+    return HazardEstimate(hazard, 1e-4, {}, counts, {}, SPACE.states)
+
+
+LIVE = [[0.0, 0.2, 0.1], [0.0, 0.0, 0.3], [0.0, 0.0, 0.0]]
+DEAD = np.zeros((3, 3))
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        [DEAD] * 4,  # nothing moves: the occupation stays at initial
+        [DEAD, DEAD, LIVE, DEAD, LIVE],  # leading zero steps
+        [DEAD, DEAD, DEAD, LIVE],  # only the last step is live
+        [LIVE, LIVE, DEAD, LIVE],
+    ],
+    ids=["all-zero", "leading-zero", "live-last", "mixed"],
+)
+def test_aalen_johansen_hand_cases(steps):
+    hazard = _generator_steps(steps)
+    initial = np.array([0.6, 0.3, 0.1])
+    occ = aalen_johansen(hazard, initial)
+    expected = _stepwise_occupation(hazard, initial)
+    assert np.array_equal(occ.values, expected)
+    live = [i for i, step in enumerate(steps) if np.any(step)]
+    first = live[0] if live else len(steps)
+    assert np.array_equal(occ.values[:first], np.tile(initial, (first, 1)))
+
+
+def test_aalen_johansen_empty_grid():
+    hazard = _generator_steps(np.zeros((0, 3, 3)))
+    occ = aalen_johansen(hazard, np.array([1.0, 0.0, 0.0]))
+    assert occ.values.shape == (0, 3)
