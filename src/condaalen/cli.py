@@ -7,6 +7,14 @@ covariate points, ``covariance`` adds plug-in covariance surfaces, and
 significant digits so every value round-trips exactly; runs with the
 same configuration and seed are byte-identical.
 
+The writers work from the result arrays. Step curves repeat their
+values, so each distinct float (by bit pattern) is formatted once, and
+lines are built from precomputed label strings. Files are written in
+blocks of ``_BLOCK_ROWS`` grid rows, which keeps memory flat in the grid
+size. JSON output is ``json.dump(indent=1, sort_keys=True)`` text: the
+``json`` module renders everything but the arrays, whose text is
+spliced in.
+
 Exit codes: 0 on success, 2 when an evaluation point carries no kernel
 mass, 1 on any other failure, usage errors included. Numeric options are
 range-checked while the command line is parsed, before any file is read
@@ -16,7 +24,6 @@ or written.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -25,7 +32,7 @@ import sys
 import numpy as np
 
 from .covariance import default_surface_grid, hazard_covariance, occupation_covariance
-from .data import ParseError, Sample, ValidationError, load_sample, write_sample
+from .data import ParseError, Sample, ValidationError, _fmt, load_sample, write_sample
 from .estimators import FitResult, fit
 from .kernels import KernelSpec, NoKernelMass
 from .simulate import load_scenario, simulate_path
@@ -34,9 +41,10 @@ _EXIT_OK = 0
 _EXIT_ERROR = 1
 _EXIT_NO_MASS = 2
 
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+# grid rows (or JSON array items) formatted and written at a time
+_BLOCK_ROWS = 256
+# stands in for each array while ``json`` renders the rest of a document
+_SLOT = "\0"
 
 
 def _checked(convert, ok, requirement: str):
@@ -136,44 +144,126 @@ def _warn_flags(result: FitResult, label: str) -> None:
         )
 
 
+def _json_float(value: float) -> str:
+    """A float as ``json`` writes it, non-finite values included."""
+    if value != value:
+        return "NaN"
+    if math.isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    return repr(value)
+
+
+def _format_distinct(values: np.ndarray, fmt=_fmt) -> np.ndarray:
+    """``fmt`` of every entry of a float array, as an object array of its shape.
+
+    Each distinct bit pattern is formatted once and its string shared.
+    Keying on bits rather than ``==`` keeps ``-0.0`` apart from ``0.0``.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    strings = np.array([fmt(v) for v in bits.view(float).tolist()], dtype=object)
+    return strings[inverse.reshape(values.shape)]
+
+
+def _write_rows(handle, times, labels, values, keep=None) -> None:
+    """Write the CSV line ``times[i] + labels[c] + values[i, c]`` for each row i, label c.
+
+    ``keep``, shaped like ``values``, drops lines. Lines end in CRLF, as
+    ``csv.writer`` ends them; none of them needs quoting.
+    """
+    labels = np.array(labels, dtype=object)
+    for lo in range(0, len(times), _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        lines = _format_distinct(times[rows])[:, None] + labels + _format_distinct(values[rows])
+        if keep is not None:
+            lines = lines[keep[rows]]
+        text = "\r\n".join(lines.ravel().tolist())
+        if text:
+            handle.write(text + "\r\n")
+
+
 def _write_hazard_csv(result: FitResult, path: str) -> None:
     states = result.hazard.states
-    grid = result.hazard.times
-    hazard = result.hazard.hazard.values
-    counts = result.hazard.counts.values
-    exposure = [result.hazard.exposure[s].values for s in states]
+    off = ~np.eye(len(states), dtype=bool)  # the (j, k) pairs with j != k, row-major
+    pairs = [f"{states[a]},{states[b]}" for a, b in zip(*np.nonzero(off))]
+    labels = (
+        [f",hazard,{pair}," for pair in pairs]
+        + [f",count,{pair}," for pair in pairs]
+        + [f",exposure,{s},," for s in states]
+    )
+    counts = result.hazard.counts.values[:, off]
+    exposure = np.column_stack([result.hazard.exposure[s].values for s in states])
+    values = np.hstack([result.hazard.hazard.values[:, off], counts, exposure])
+    # a count line is written only where the cumulative count is nonzero
+    keep = np.ones(values.shape, dtype=bool)
+    keep[:, len(pairs) : 2 * len(pairs)] = counts != 0.0
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time", "quantity", "j", "k", "value"])
-        for i, t in enumerate(grid):
-            ts = _fmt(t)
-            for a, sa in enumerate(states):
-                for b, sb in enumerate(states):
-                    if a != b:
-                        writer.writerow([ts, "hazard", sa, sb, _fmt(hazard[i, a, b])])
-            for a, sa in enumerate(states):
-                for b, sb in enumerate(states):
-                    if a != b and counts[i, a, b] != 0.0:
-                        writer.writerow([ts, "count", sa, sb, _fmt(counts[i, a, b])])
-            for sa, values in zip(states, exposure):
-                writer.writerow([ts, "exposure", sa, "", _fmt(values[i])])
+        handle.write("time,quantity,j,k,value\r\n")
+        _write_rows(handle, result.hazard.times, labels, values, keep)
 
 
 def _write_occupation_csv(result: FitResult, path: str) -> None:
-    states = result.occupation.states
+    occupation = result.occupation
+    # the initial distribution is the row at time 0
+    times = np.concatenate([[0.0], occupation.times])
+    values = np.vstack([occupation.initial, occupation.values])
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time", "j", "value"])
-        for idx, s in enumerate(states):
-            writer.writerow([_fmt(0.0), s, _fmt(result.occupation.initial[idx])])
-        for i, t in enumerate(result.occupation.times):
-            for idx, s in enumerate(states):
-                writer.writerow([_fmt(t), s, _fmt(result.occupation.values[i, idx])])
+        handle.write("time,j,value\r\n")
+        _write_rows(handle, times, [f",{s}," for s in occupation.states], values)
+
+
+def _write_surface(surface, path: str) -> None:
+    labels = [f",{t}," for t in _format_distinct(surface.grid).tolist()]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write("s,t,value\r\n")
+        _write_rows(handle, surface.grid, labels, surface.values)
+
+
+def _write_json_array(handle, values: np.ndarray, indent: int) -> None:
+    """Write a 1-d float array as ``json`` lays out a list ``indent`` spaces in."""
+    if not values.size:
+        handle.write("[]")
+        return
+    sep = ",\n" + " " * (indent + 1)
+    lead = "[" + sep[1:]  # no comma before the first item
+    for lo in range(0, values.size, _BLOCK_ROWS):
+        items = _format_distinct(values[lo : lo + _BLOCK_ROWS], _json_float).tolist()
+        handle.write(lead + sep.join(items))
+        lead = sep
+    handle.write("\n" + " " * indent + "]")
+
+
+def _write_json(body: dict, path: str) -> None:
+    """Write ``body`` as ``json.dump(body, indent=1, sort_keys=True)`` and a newline.
+
+    The numpy arrays in ``body`` become lists of floats. ``json`` renders
+    the rest with a slot in each array's place; every slot is then
+    replaced by its array's text, indented like the line it sits on.
+    """
+    arrays = []
+
+    def slot(value):
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        arrays.append(value)
+        return _SLOT
+
+    text = json.dumps(body, indent=1, sort_keys=True, default=slot)
+    pieces = text.split(json.dumps(_SLOT))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(pieces[0])
+        for values, before, after in zip(arrays, pieces, pieces[1:]):
+            line = before[before.rfind("\n") + 1 :]
+            _write_json_array(handle, values, len(line) - len(line.lstrip(" ")))
+            handle.write(after)
+        handle.write("\n")
+    # json's encoder holds ``slot`` in a reference cycle until the next
+    # garbage collection; emptying the list frees the arrays now
+    arrays.clear()
 
 
 def _fit_json(result: FitResult, n: int) -> dict:
     states = result.hazard.states
-    grid = [float(t) for t in result.hazard.times]
     hazard = result.hazard.hazard.values
     counts = result.hazard.counts.values
     body = {
@@ -188,28 +278,27 @@ def _fit_json(result: FitResult, n: int) -> dict:
         "density": result.weights.density_value,
         "phi": result.phi,
         "states": list(states),
-        "grid": grid,
+        "grid": result.hazard.times,
         "initial": {str(s): float(v) for s, v in zip(states, result.occupation.initial)},
         "hazard": {},
         "counts": {},
         "exposure": {},
         "occupation": {},
-        "floor_active": {str(s): list(v) for s, v in result.hazard.floor_active.items()},
-        "beyond_theta": [float(t) for t in result.beyond_theta()],
+        "floor_active": {
+            str(s): np.array(v, dtype=float) for s, v in result.hazard.floor_active.items()
+        },
+        "beyond_theta": result.beyond_theta(),
     }
     for a, sa in enumerate(states):
         for b, sb in enumerate(states):
             if a != b:
-                body["hazard"][f"{sa}->{sb}"] = [float(v) for v in hazard[:, a, b]]
-                body["counts"][f"{sa}->{sb}"] = [float(v) for v in counts[:, a, b]]
+                body["hazard"][f"{sa}->{sb}"] = hazard[:, a, b]
+                body["counts"][f"{sa}->{sb}"] = counts[:, a, b]
         curve = result.hazard.exposure[sa]
-        body["exposure"][str(sa)] = {
-            "initial": float(curve.initial),
-            "values": [float(v) for v in curve.values],
-        }
+        body["exposure"][str(sa)] = {"initial": float(curve.initial), "values": curve.values}
         body["occupation"][str(sa)] = {
             "initial": float(result.occupation.initial[a]),
-            "values": [float(v) for v in result.occupation.values[:, a]],
+            "values": result.occupation.values[:, a],
         }
     return body
 
@@ -234,9 +323,7 @@ def cmd_fit(args) -> int:
         _write_hazard_csv(result, os.path.join(args.out, f"hazard_{i}.csv"))
         _write_occupation_csv(result, os.path.join(args.out, f"occupation_{i}.csv"))
         if args.json:
-            with open(os.path.join(args.out, f"fit_{i}.json"), "w", encoding="utf-8") as handle:
-                json.dump(_fit_json(result, len(sample)), handle, indent=1, sort_keys=True)
-                handle.write("\n")
+            _write_json(_fit_json(result, len(sample)), os.path.join(args.out, f"fit_{i}.json"))
     return _EXIT_OK
 
 
@@ -263,26 +350,14 @@ def cmd_covariance(args) -> int:
             _write_surface(surface, os.path.join(args.out, f"cov_occupation_{s}_{i}.csv"))
         meta = {
             "x": list(result.x.coords),
-            "grid": [float(t) for t in grid],
+            "grid": grid,
             "pairs": [f"{a}->{b}" for a, b in pairs],
             "states": list(states),
             "bandwidth": result.bandwidth,
             "phi": result.phi,
         }
-        with open(os.path.join(args.out, f"cov_meta_{i}.json"), "w", encoding="utf-8") as handle:
-            json.dump(meta, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+        _write_json(meta, os.path.join(args.out, f"cov_meta_{i}.json"))
     return _EXIT_OK
-
-
-def _write_surface(surface, path: str) -> None:
-    # The same bytes as csv.writer: no field needs quoting, lines end in CRLF.
-    labels = [_fmt(t) for t in surface.grid]
-    lines = ["s,t,value"]
-    for s, row in zip(labels, surface.values.tolist()):
-        lines.extend(f"{s},{t},{_fmt(v)}" for t, v in zip(labels, row))
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("\r\n".join(lines) + "\r\n")
 
 
 def cmd_check(args) -> int:

@@ -476,6 +476,7 @@ def load_sample(path, schema: dict | None = None) -> Sample:
 
 
 def _fmt(value: float) -> str:
+    """17 significant digits, enough to round-trip; every CSV writer uses it."""
     return format(value, ".17g")
 
 

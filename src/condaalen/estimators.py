@@ -16,6 +16,7 @@ occupation recursion conserves total mass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,11 +168,13 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
 
     Raises
     ------
+    ValueError
+        If ``epsilon`` is not a finite number > 0.
     NoKernelMass
         If the weights are degenerate: no path carries kernel mass.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
     if weights.degenerate:
         raise NoKernelMass("no kernel mass in the conditioning weights")
     w = weights.weights
@@ -281,8 +284,12 @@ def fit(
     ``x`` may be an :class:`EvalPoint` or a coordinate sequence; ``spec``
     defaults to an epanechnikov kernel in every dimension with no atoms.
     The default horizon is the largest censoring time carrying positive
-    weight, falling back to the last event time.
+    weight, falling back to the last event time. An explicit ``theta``
+    must be a finite number >= 0, and ``epsilon`` a finite number > 0;
+    anything else raises ``ValueError``.
     """
+    if theta is not None and not 0.0 <= theta < math.inf:
+        raise ValueError(f"theta must be a finite number >= 0, got {theta!r}")
     if spec is None:
         spec = KernelSpec.for_dims(sample.covariate_dim)
     if not isinstance(x, EvalPoint):

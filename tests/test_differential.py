@@ -1,4 +1,4 @@
-"""Array estimators against the literal per-path references on small samples.
+"""Array estimators and CLI writers against literal references on small samples.
 
 Times come from a coarse lattice, so jumps of different subjects coincide
 with each other and with censoring times. Covariates come from a small
@@ -6,11 +6,18 @@ set that includes a declared atom and a value far outside every kernel
 window, and the floor is sometimes large enough to engage.
 """
 
+import csv
+import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condaalen import cli
 from condaalen.covariance import (
     influence_gamma,
     influence_zeta,
@@ -18,10 +25,10 @@ from condaalen.covariance import (
     zeta_values,
 )
 from condaalen.data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace, validate
-from condaalen.estimators import HazardEstimate, aalen_johansen, fit
+from condaalen.estimators import HazardEstimate, OccupationEstimate, aalen_johansen, fit
 from condaalen.kernels import KernelSpec
 from condaalen.simulate import brute_force_estimator
-from condaalen.stepfun import StepMatrix
+from condaalen.stepfun import StepCurve, StepMatrix
 
 SPACE = StateSpace((1, 2, 3), frozenset({3}))
 TICK = 0.25
@@ -188,3 +195,198 @@ def test_aalen_johansen_empty_grid():
     hazard = _generator_steps(np.zeros((0, 3, 3)))
     occ = aalen_johansen(hazard, np.array([1.0, 0.0, 0.0]))
     assert occ.values.shape == (0, 3)
+
+
+# --- CLI writers against the literal csv.writer / json.dump loops ---------
+
+
+def _fmt(value):
+    return format(float(value), ".17g")
+
+
+def _literal_hazard_csv(result, path):
+    states = result.hazard.states
+    grid = result.hazard.times
+    hazard = result.hazard.hazard.values
+    counts = result.hazard.counts.values
+    exposure = [result.hazard.exposure[s].values for s in states]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["time", "quantity", "j", "k", "value"])
+        for i, t in enumerate(grid):
+            ts = _fmt(t)
+            for a, sa in enumerate(states):
+                for b, sb in enumerate(states):
+                    if a != b:
+                        writer.writerow([ts, "hazard", sa, sb, _fmt(hazard[i, a, b])])
+            for a, sa in enumerate(states):
+                for b, sb in enumerate(states):
+                    if a != b and counts[i, a, b] != 0.0:
+                        writer.writerow([ts, "count", sa, sb, _fmt(counts[i, a, b])])
+            for sa, values in zip(states, exposure):
+                writer.writerow([ts, "exposure", sa, "", _fmt(values[i])])
+
+
+def _literal_occupation_csv(result, path):
+    states = result.occupation.states
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["time", "j", "value"])
+        for idx, s in enumerate(states):
+            writer.writerow([_fmt(0.0), s, _fmt(result.occupation.initial[idx])])
+        for i, t in enumerate(result.occupation.times):
+            for idx, s in enumerate(states):
+                writer.writerow([_fmt(t), s, _fmt(result.occupation.values[i, idx])])
+
+
+def _literal_fit_json(result, n, path):
+    states = result.hazard.states
+    hazard = result.hazard.hazard.values
+    counts = result.hazard.counts.values
+    body = {
+        "x": list(result.x.coords),
+        "atom_flags": list(result.x.atom_flags),
+        "kernel": list(result.spec.kernels),
+        "atoms": [list(a) for a in result.spec.atoms],
+        "n": n,
+        "bandwidth": result.bandwidth,
+        "epsilon": result.hazard.epsilon,
+        "theta": result.theta,
+        "density": result.weights.density_value,
+        "phi": result.phi,
+        "states": list(states),
+        "grid": [float(t) for t in result.hazard.times],
+        "initial": {str(s): float(v) for s, v in zip(states, result.occupation.initial)},
+        "hazard": {},
+        "counts": {},
+        "exposure": {},
+        "occupation": {},
+        "floor_active": {str(s): list(v) for s, v in result.hazard.floor_active.items()},
+        "beyond_theta": [float(t) for t in result.beyond_theta()],
+    }
+    for a, sa in enumerate(states):
+        for b, sb in enumerate(states):
+            if a != b:
+                body["hazard"][f"{sa}->{sb}"] = [float(v) for v in hazard[:, a, b]]
+                body["counts"][f"{sa}->{sb}"] = [float(v) for v in counts[:, a, b]]
+        curve = result.hazard.exposure[sa]
+        body["exposure"][str(sa)] = {
+            "initial": float(curve.initial),
+            "values": [float(v) for v in curve.values],
+        }
+        body["occupation"][str(sa)] = {
+            "initial": float(result.occupation.initial[a]),
+            "values": [float(v) for v in result.occupation.values[:, a]],
+        }
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(body, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
+def _assert_writers_match_literal(result, n):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, fast, literal in (
+            ("hazard.csv", cli._write_hazard_csv, _literal_hazard_csv),
+            ("occupation.csv", cli._write_occupation_csv, _literal_occupation_csv),
+        ):
+            fast(result, str(root / f"fast_{name}"))
+            literal(result, root / f"literal_{name}")
+        cli._write_json(cli._fit_json(result, n), str(root / "fast_fit.json"))
+        _literal_fit_json(result, n, root / "literal_fit.json")
+        for name in ("hazard.csv", "occupation.csv", "fit.json"):
+            got, want = root / f"fast_{name}", root / f"literal_{name}"
+            assert got.read_bytes() == want.read_bytes(), name
+
+
+@given(fits())
+@settings(max_examples=60, deadline=None)
+def test_fit_writers_match_literal_loops(case):
+    sample, spec, x, bandwidth, epsilon = case
+    r = fit(sample, x, spec, explicit_bandwidth=bandwidth, epsilon=epsilon)
+    _assert_writers_match_literal(r, len(sample))
+
+
+# Every column holds 0.0 in row 0 and -0.0 in row 1; the other rows draw from here.
+SPECIAL = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 0.1, 1.0 / 3.0, 1.0, 2.0,
+     123456789.0, -1e-5, np.nan, np.inf, -np.inf]
+)
+BLOCK = cli._BLOCK_ROWS
+
+
+def _hand_built_fit(m, seed=0):
+    """A fit on a grid of m times whose arrays hold SPECIAL values."""
+    rng = np.random.default_rng(seed)
+    states = SPACE.states
+    two = Sample(
+        (
+            ObservedPath((0.5,), 1, ((1.0, 2),), 2.0, CENSORED),
+            ObservedPath((0.5,), 2, ((0.5, 3),), 0.5, ABSORBED),
+        ),
+        SPACE,
+    )
+
+    def draw(*shape):
+        out = rng.choice(SPECIAL, size=(m, *shape))
+        out[:1] = 0.0
+        out[1:2] = -0.0
+        return out
+
+    grid = 5e-324 + np.arange(m) / 3.0
+    if m > 3:
+        grid[-1] = 1e300
+    counts = draw(3, 3)
+    counts[2::5] = 0.0  # rows without a count line
+    counts[3::7] = -0.0  # -0.0 writes no count line either
+    exposure = draw(3)
+    hazard = HazardEstimate(
+        hazard=StepMatrix(grid, draw(3, 3)),
+        epsilon=1e-4,
+        exposure={s: StepCurve(grid, exposure[:, i], SPECIAL[i]) for i, s in enumerate(states)},
+        counts=StepMatrix(grid, counts),
+        floor_active={1: tuple(grid[::4]), 2: (), 3: tuple(grid[-1:])},
+        states=states,
+    )
+    occupation = OccupationEstimate(grid, draw(3), [-0.0, np.nan, 1e300], states)
+    theta = grid[m // 2] if m else 0.0
+    return replace(fit(two, (0.5,)), hazard=hazard, occupation=occupation, theta=theta)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7],
+    ids=["empty", "one", "two", "block-1", "block", "block+1", "blocks"],
+)
+def test_fit_writers_match_literal_loops_on_hand_built_arrays(m):
+    # the occupation CSV has m + 1 rows, so block-1 fills exactly one block there
+    _assert_writers_match_literal(_hand_built_fit(m), 1)
+
+
+def test_json_writer_matches_json_dump_at_every_depth():
+    arrays = [np.array([-0.0, 0.0, 5e-324, np.nan, np.inf, -np.inf, 1e300]), np.array([])]
+    arrays.append(np.linspace(0.0, 1.0, 2 * BLOCK + 1))
+
+    def body(wrap):
+        return {
+            "top": wrap(arrays[0]),
+            "nested": {"deeper": {"values": wrap(arrays[2]), "empty": wrap(arrays[1])}},
+            "in_list": [wrap(arrays[0]), {"values": wrap(arrays[2])}, 1.5, "text"],
+            "scalar": -0.0,
+        }
+
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, literal = Path(tmp) / "fast.json", Path(tmp) / "literal.json"
+        cli._write_json(body(lambda a: a), str(fast))
+        with open(literal, "w", encoding="utf-8") as handle:
+            json.dump(body(lambda a: [float(v) for v in a]), handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        assert fast.read_bytes() == literal.read_bytes()
+
+
+def test_format_distinct_keys_on_bits():
+    values = np.array([[0.0, -0.0], [-0.0, 0.0], [np.nan, 5e-324]])
+    got = cli._format_distinct(values)
+    assert got.shape == values.shape
+    assert got.tolist() == [["0", "-0"], ["-0", "0"], ["nan", "4.9406564584124654e-324"]]
+    assert cli._format_distinct(values, cli._json_float)[2, 0] == "NaN"

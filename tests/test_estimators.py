@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -139,6 +141,30 @@ def test_hazard_rejects_bad_epsilon():
     s = _two_path_sample()
     with pytest.raises(ValueError):
         nelson_aalen(s, _weights_at(s, 0.5), 0.0)
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan, -1e-4])
+def test_hazard_rejects_non_finite_epsilon(epsilon):
+    s = _two_path_sample()
+    # an infinite floor would zero every hazard increment without a word
+    with pytest.raises(ValueError, match="epsilon must be a finite number > 0"):
+        nelson_aalen(s, _weights_at(s, 0.5), epsilon)
+    with pytest.raises(ValueError, match="epsilon must be a finite number > 0"):
+        fit(s, (0.5,), epsilon=epsilon)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, -1.0])
+def test_fit_rejects_bad_theta(theta):
+    s = _two_path_sample()
+    # a NaN horizon flags no time and a negative one flags every time
+    with pytest.raises(ValueError, match="theta must be a finite number >= 0"):
+        fit(s, (0.5,), theta=theta)
+
+
+def test_fit_accepts_zero_theta():
+    r = fit(_two_path_sample(), (0.5,), theta=0.0)
+    assert r.theta == 0.0
+    np.testing.assert_array_equal(r.beyond_theta(), [1.0, 2.0])
 
 
 def test_fit_raises_without_kernel_mass():
