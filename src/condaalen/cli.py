@@ -153,28 +153,40 @@ def _json_float(value: float) -> str:
     return repr(value)
 
 
+# builtins that format every finite float as the writers' formats do,
+# without a Python frame per value
+_FINITE_FORMAT = {_fmt: "%.17g".__mod__, _json_float: float.__repr__}
+
+
 def _format_distinct(values: np.ndarray, fmt=_fmt) -> np.ndarray:
     """``fmt`` of every entry of a float array, as an object array of its shape.
 
     Each distinct bit pattern is formatted once and its string shared.
     Keying on bits rather than ``==`` keeps ``-0.0`` apart from ``0.0``.
+    Finite values go through ``fmt``'s builtin in ``_FINITE_FORMAT``
+    where it has one, NaN and infinities through ``fmt`` itself.
     """
     values = np.ascontiguousarray(values, dtype=float)
     bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
-    strings = np.array([fmt(v) for v in bits.view(float).tolist()], dtype=object)
+    unique = bits.view(float)
+    strings = np.array(list(map(_FINITE_FORMAT.get(fmt, fmt), unique.tolist())), dtype=object)
+    special = ~np.isfinite(unique)
+    if special.any():
+        strings[special] = [fmt(v) for v in unique[special].tolist()]
     return strings[inverse.reshape(values.shape)]
 
 
 def _write_rows(handle, times, labels, values, keep=None) -> None:
     """Write the CSV line ``times[i] + labels[c] + values[i, c]`` for each row i, label c.
 
-    ``keep``, shaped like ``values``, drops lines. Lines end in CRLF, as
-    ``csv.writer`` ends them; none of them needs quoting.
+    ``times`` holds the formatted times. ``keep``, shaped like ``values``,
+    drops lines. Lines end in CRLF, as ``csv.writer`` ends them; none of
+    them needs quoting.
     """
     labels = np.array(labels, dtype=object)
     for lo in range(0, len(times), _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
-        lines = _format_distinct(times[rows])[:, None] + labels + _format_distinct(values[rows])
+        lines = times[rows, None] + labels + _format_distinct(values[rows])
         if keep is not None:
             lines = lines[keep[rows]]
         text = "\r\n".join(lines.ravel().tolist())
@@ -182,7 +194,9 @@ def _write_rows(handle, times, labels, values, keep=None) -> None:
             handle.write(text + "\r\n")
 
 
-def _write_hazard_csv(result: FitResult, path: str) -> None:
+def _write_hazard_csv(result: FitResult, path: str, grid=None) -> None:
+    """Write the hazard CSV; ``grid`` is the formatted event grid, if already made."""
+    grid = _format_distinct(result.hazard.times) if grid is None else grid
     states = result.hazard.states
     off = ~np.eye(len(states), dtype=bool)  # the (j, k) pairs with j != k, row-major
     pairs = [f"{states[a]},{states[b]}" for a, b in zip(*np.nonzero(off))]
@@ -199,13 +213,15 @@ def _write_hazard_csv(result: FitResult, path: str) -> None:
     keep[:, len(pairs) : 2 * len(pairs)] = counts != 0.0
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write("time,quantity,j,k,value\r\n")
-        _write_rows(handle, result.hazard.times, labels, values, keep)
+        _write_rows(handle, grid, labels, values, keep)
 
 
-def _write_occupation_csv(result: FitResult, path: str) -> None:
+def _write_occupation_csv(result: FitResult, path: str, grid=None) -> None:
+    """Write the occupation CSV; ``grid`` is the formatted event grid, if already made."""
     occupation = result.occupation
+    grid = _format_distinct(occupation.times) if grid is None else grid
     # the initial distribution is the row at time 0
-    times = np.concatenate([[0.0], occupation.times])
+    times = np.concatenate([[_fmt(0.0)], grid])
     values = np.vstack([occupation.initial, occupation.values])
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write("time,j,value\r\n")
@@ -213,21 +229,29 @@ def _write_occupation_csv(result: FitResult, path: str) -> None:
 
 
 def _write_surface(surface, path: str) -> None:
-    labels = [f",{t}," for t in _format_distinct(surface.grid).tolist()]
+    grid = _format_distinct(surface.grid)
+    labels = [f",{t}," for t in grid.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write("s,t,value\r\n")
-        _write_rows(handle, surface.grid, labels, surface.values)
+        _write_rows(handle, grid, labels, surface.values)
 
 
 def _write_json_array(handle, values: np.ndarray, indent: int) -> None:
-    """Write a 1-d float array as ``json`` lays out a list ``indent`` spaces in."""
+    """Write a 1-d array as ``json`` lays out a list ``indent`` spaces in.
+
+    A float array is formatted here; an object array holds the items'
+    JSON text already.
+    """
     if not values.size:
         handle.write("[]")
         return
     sep = ",\n" + " " * (indent + 1)
     lead = "[" + sep[1:]  # no comma before the first item
     for lo in range(0, values.size, _BLOCK_ROWS):
-        items = _format_distinct(values[lo : lo + _BLOCK_ROWS], _json_float).tolist()
+        items = values[lo : lo + _BLOCK_ROWS]
+        if items.dtype != object:
+            items = _format_distinct(items, _json_float)
+        items = items.tolist()
         handle.write(lead + sep.join(items))
         lead = sep
     handle.write("\n" + " " * indent + "]")
@@ -236,7 +260,8 @@ def _write_json_array(handle, values: np.ndarray, indent: int) -> None:
 def _write_json(body: dict, path: str) -> None:
     """Write ``body`` as ``json.dump(body, indent=1, sort_keys=True)`` and a newline.
 
-    The numpy arrays in ``body`` become lists of floats. ``json`` renders
+    The numpy arrays in ``body`` become lists of floats (an object array
+    holds its items' JSON text, see :func:`_write_json_array`). ``json`` renders
     the rest with a slot in each array's place; every slot is then
     replaced by its array's text, indented like the line it sits on.
     """
@@ -262,7 +287,8 @@ def _write_json(body: dict, path: str) -> None:
     arrays.clear()
 
 
-def _fit_json(result: FitResult, n: int) -> dict:
+def _fit_json(result: FitResult, n: int, grid=None) -> dict:
+    """The ``fit`` JSON body; ``grid`` is the event grid's JSON text, if already made."""
     states = result.hazard.states
     hazard = result.hazard.hazard.values
     counts = result.hazard.counts.values
@@ -278,7 +304,7 @@ def _fit_json(result: FitResult, n: int) -> dict:
         "density": result.weights.density_value,
         "phi": result.phi,
         "states": list(states),
-        "grid": result.hazard.times,
+        "grid": result.hazard.times if grid is None else grid,
         "initial": {str(s): float(v) for s, v in zip(states, result.occupation.initial)},
         "hazard": {},
         "counts": {},
@@ -319,11 +345,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     sample, results = _load_and_fit(args)
+    # every point's estimates live on the sample's event grid: format it once
+    grid = _format_distinct(sample.table.grid)
+    grid_json = _format_distinct(sample.table.grid, _json_float) if args.json else None
     for i, result in enumerate(results):
-        _write_hazard_csv(result, os.path.join(args.out, f"hazard_{i}.csv"))
-        _write_occupation_csv(result, os.path.join(args.out, f"occupation_{i}.csv"))
+        _write_hazard_csv(result, os.path.join(args.out, f"hazard_{i}.csv"), grid)
+        _write_occupation_csv(result, os.path.join(args.out, f"occupation_{i}.csv"), grid)
         if args.json:
-            _write_json(_fit_json(result, len(sample)), os.path.join(args.out, f"fit_{i}.json"))
+            body = _fit_json(result, len(sample), grid_json)
+            _write_json(body, os.path.join(args.out, f"fit_{i}.json"))
     return _EXIT_OK
 
 

@@ -8,9 +8,22 @@ censoring mechanism is conditionally independent of the jump process by
 construction, and changing the censoring law never perturbs the
 underlying trajectory.
 
+Stream contract: subject ``index`` of a sample with seed ``seed`` draws
+its covariates, jump times and jump targets from
+``np.random.default_rng([seed, index, 0])`` and its censoring time from
+``np.random.default_rng([seed, index, 1])``, in the order the samplers
+below consume them. A path is a function of ``(seed, index)`` alone.
+The streams are built from the ``uint32`` words numpy's ``SeedSequence``
+makes of that list: each integer split into 32-bit little-endian words,
+0 as one word. Passing those words as a ``uint32`` array gives the same
+entropy, hence the same streams, without numpy coercing a Python list on
+every call. A jump target is drawn as ``Generator.choice(targets, p=p)``
+draws it, bit for bit, with no array built per jump (:func:`_choose`).
+
 Scenario files are JSON; rate expressions use a restricted arithmetic
 grammar over ``t``, ``duration``, and the covariates ``x1 .. xd`` (``x``
-aliases ``x1``).
+aliases ``x1``). Each expression is checked against the grammar once and
+compiled to a Python function.
 """
 
 from __future__ import annotations
@@ -18,7 +31,10 @@ from __future__ import annotations
 import ast
 import json
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import expm
@@ -35,6 +51,8 @@ SEMI_MARKOV = "semi_markov"
 _MAX_JUMPS = 100_000
 _MAJORANT_POINTS = 17
 _MAJORANT_SLACK = 1.25
+# how far from 1 ``Generator.choice`` lets probabilities sum
+_PROBS_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 _ALLOWED_FUNCS = {
     "exp": math.exp,
@@ -92,15 +110,34 @@ def compile_expression(text: str, dim: int):
             used.add(node.id)
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
             raise ExpressionError(f"non-numeric constant in {text!r}")
-    code = compile(tree, "<rate>", "eval")
-
-    def evaluate(t: float, duration: float, x) -> float:
-        env = {"t": t, "duration": duration, "x": x[0]}
-        for i, xi in enumerate(x, start=1):
-            env[f"x{i}"] = xi
-        return float(eval(code, {"__builtins__": {}, **_ALLOWED_FUNCS}, env))
-
+    # lambda t, duration, x: float(<expression>), with ``x`` and ``xi`` read
+    # as x[0] and x[i - 1]: the arithmetic nodes, hence every bit, are the
+    # checked expression's own
+    body = _Coordinates().visit(tree.body)
+    params = ast.arguments(
+        posonlyargs=[],
+        args=[ast.arg(name) for name in ("t", "duration", "x")],
+        kwonlyargs=[],
+        kw_defaults=[],
+        defaults=[],
+    )
+    call = ast.Call(ast.Name("float", ast.Load()), [body], [])
+    lam = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, call)))
+    evaluate = eval(
+        compile(lam, "<rate>", "eval"), {"__builtins__": {}, "float": float, **_ALLOWED_FUNCS}
+    )
     return evaluate, used
+
+
+class _Coordinates(ast.NodeTransformer):
+    """Rewrites the covariate names ``x`` and ``xi`` as ``x[0]`` and ``x[i - 1]``."""
+
+    def visit_Name(self, node: ast.Name):
+        if node.id == "x" or (node.id[:1] == "x" and node.id[1:].isdigit()):
+            pos = int(node.id[1:] or 1) - 1
+            sub = ast.Subscript(ast.Name("x", ast.Load()), ast.Constant(pos), ast.Load())
+            return ast.copy_location(sub, node)
+        return node
 
 
 @dataclass(frozen=True)
@@ -152,11 +189,36 @@ class OraclePath:
 def _check_rate(value: float, j: int, k: int, t: float) -> float:
     if value < 0:
         raise ValueError(f"negative rate {value} for {j}->{k} at t={t}")
+    if not value < math.inf:
+        raise ValueError(f"non-finite rate {value} for {j}->{k} at t={t}")
     return value
+
+
+def _check_total(total: float, j: int, t: float) -> float:
+    if total == math.inf:
+        raise ValueError(f"total rate out of state {j} overflows near t={t}")
+    return total
 
 
 def _targets(space: StateSpace, j: int) -> list[int]:
     return [k for k in space.states if k != j]
+
+
+def _choice_cdf(p) -> list[float]:
+    """The table ``Generator.choice(a, p=p)`` searches, bit for bit.
+
+    numpy takes the running sum of ``p`` in order and divides it by its
+    last entry; one draw is then ``a[searchsorted(cdf, rng.random(),
+    side="right")]``, which consumes one double.
+    """
+    cdf = list(accumulate(p))
+    last = cdf[-1]
+    return [c / last for c in cdf]
+
+
+def _choose(cdf: list[float], rng) -> int:
+    """Index of one ``Generator.choice`` draw from ``cdf = _choice_cdf(p)``."""
+    return bisect_right(cdf, rng.random())
 
 
 def _simulate_jumps_constant(intensity, x, censor_time, rng):
@@ -168,18 +230,15 @@ def _simulate_jumps_constant(intensity, x, censor_time, rng):
     while len(jumps) < _MAX_JUMPS:
         if state in space.absorbing:
             return jumps, True, t
-        rates = [
-            _check_rate(intensity.rate(state, k, t, 0.0, x), state, k, t)
-            for k in _targets(space, state)
-        ]
-        total = sum(rates)
+        targets = _targets(space, state)
+        rates = [_check_rate(intensity.rate(state, k, t, 0.0, x), state, k, t) for k in targets]
+        total = _check_total(sum(rates), state, t)
         if total == 0.0:
             return jumps, False, censor_time
         t = t + rng.exponential(1.0 / total)
         if t > censor_time:
             return jumps, False, censor_time
-        dest = rng.choice(_targets(space, state), p=np.asarray(rates) / total)
-        state = int(dest)
+        state = targets[_choose(_choice_cdf([r / total for r in rates]), rng)]
         jumps.append((t, state))
     raise RuntimeError(f"path exceeded {_MAX_JUMPS} jumps; rates look explosive")
 
@@ -210,7 +269,7 @@ def _simulate_jumps_thinning(intensity, x, censor_time, rng):
             sum(_check_rate(intensity.rate(state, k, s, s - entry, x), state, k, s) for k in targets)
             for s in probes
         ]
-        majorant = max(total_at) * _MAJORANT_SLACK
+        majorant = _check_total(max(total_at) * _MAJORANT_SLACK, state, t)
         if majorant == 0.0:
             t = window_end
             continue
@@ -231,8 +290,7 @@ def _simulate_jumps_thinning(intensity, x, censor_time, rng):
                     "shrink thinning_window"
                 )
             if rng.uniform() * majorant <= total:
-                dest = rng.choice(targets, p=np.asarray(rates) / total)
-                state = int(dest)
+                state = targets[_choose(_choice_cdf([r / total for r in rates]), rng)]
                 jumps.append((s, state))
                 t = s
                 entry = s
@@ -245,10 +303,24 @@ def _simulate_jumps_thinning(intensity, x, censor_time, rng):
     raise RuntimeError(f"path exceeded {_MAX_JUMPS} jumps; rates look explosive")
 
 
+def _words(value) -> list[int]:
+    """The 32-bit little-endian words ``SeedSequence`` makes of a non-negative int."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got {value}")
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
 def simulate_path(intensity: IntensitySpec, censoring: CensoringSpec, seed, index: int) -> ObservedPath:
-    """Simulate one subject with RNG streams derived from (seed, index)."""
-    rng_jump = np.random.default_rng([seed, index, 0])
-    rng_cens = np.random.default_rng([seed, index, 1])
+    """Simulate one subject with the RNG streams ``[seed, index, 0]`` and ``[seed, index, 1]``."""
+    key = _words(seed) + _words(index)
+    rng_jump = np.random.default_rng(np.array(key + [0], dtype=np.uint32))
+    rng_cens = np.random.default_rng(np.array(key + [1], dtype=np.uint32))
     x = tuple(float(v) for v in np.atleast_1d(intensity.covariate_law(rng_jump)))
     censor_time = float(censoring.law(rng_cens, x))
     if not censor_time > 0:
@@ -482,21 +554,49 @@ def brute_force_estimator(
 
 
 def _covariate_sampler(laws: list[dict]):
+    draws = [_covariate_draw(law) for law in laws]
+
     def draw(rng):
-        out = []
-        for law in laws:
-            kind = law["law"]
-            if kind == "uniform":
-                out.append(rng.uniform(law["low"], law["high"]))
-            elif kind == "normal":
-                out.append(rng.normal(law["mean"], law["sd"]))
-            elif kind == "discrete":
-                out.append(float(rng.choice(law["values"], p=law["probs"])))
-            else:
-                raise ValueError(f"unknown covariate law {kind!r}")
-        return tuple(out)
+        return tuple([one(rng) for one in draws])
 
     return draw
+
+
+def _covariate_draw(law: dict):
+    """One coordinate's draw from an RNG, its parameters checked once here."""
+    kind = law["law"]
+    if kind == "uniform":
+        low, high = law["low"], law["high"]
+        return lambda rng: rng.uniform(low, high)
+    if kind == "normal":
+        mean, sd = law["mean"], law["sd"]
+        return lambda rng: rng.normal(mean, sd)
+    if kind == "discrete":
+        values, cdf = _discrete_law(law["values"], law["probs"])
+        return lambda rng: values[_choose(cdf, rng)]
+    raise ValueError(f"unknown covariate law {kind!r}")
+
+
+def _discrete_law(values, probs) -> tuple[list[float], list[float]]:
+    """Support and choice table of a discrete law, checked by ``Generator.choice``'s rules."""
+    try:
+        support = [float(v) for v in values]
+        p = [float(v) for v in probs]
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"discrete law needs lists of numbers, got values={values!r}, probs={probs!r}"
+        ) from None
+    if not support:
+        raise ValueError("discrete law needs at least one value")
+    if len(p) != len(support):
+        raise ValueError(f"discrete law has {len(support)} values but {len(p)} probs")
+    if any(math.isnan(v) for v in p):
+        raise ValueError(f"discrete law probs contain NaN: {probs!r}")
+    if any(v < 0 for v in p):
+        raise ValueError(f"discrete law probs are not non-negative: {probs!r}")
+    if not abs(math.fsum(p) - 1.0) <= _PROBS_ATOL:
+        raise ValueError(f"discrete law probs do not sum to 1: {probs!r}")
+    return support, _choice_cdf(p)
 
 
 def _censoring_sampler(law: dict, dim: int):
@@ -506,7 +606,10 @@ def _censoring_sampler(law: dict, dim: int):
         rate_fn, _ = compile_expression(rate_expr, dim)
 
         def draw(rng, x):
-            rate = rate_fn(0.0, 0.0, x)
+            try:
+                rate = rate_fn(0.0, 0.0, x)
+            except (ArithmeticError, TypeError, ValueError) as err:
+                raise ValueError(f"censoring rate: {err}") from None
             if rate <= 0:
                 raise ValueError(f"censoring rate must be positive, got {rate}")
             return rng.exponential(1.0 / rate)
@@ -555,6 +658,8 @@ def load_scenario(source) -> dict:
         censoring_law = dict(raw["censoring"])
         n = int(raw["n"])
         seed = int(raw["seed"])
+        covariate_law = _covariate_sampler(laws)
+        censoring = CensoringSpec(law=_censoring_sampler(censoring_law, dim))
     except KeyError as err:
         raise ValueError(f"scenario missing field {err.args[0]!r}") from None
 
@@ -575,18 +680,22 @@ def load_scenario(source) -> dict:
 
     def rate(j, k, t, duration, x):
         fn = compiled.get((j, k))
-        return fn(t, duration, x) if fn else 0.0
+        if fn is None:
+            return 0.0
+        try:
+            return fn(t, duration, x)
+        except (ArithmeticError, TypeError, ValueError) as err:
+            raise ValueError(f"rate {j}->{k} at t={t}: {err}") from None
 
     intensity = IntensitySpec(
         kind=kind,
         rate=rate,
-        covariate_law=_covariate_sampler(laws),
+        covariate_law=covariate_law,
         state_space=space,
         initial_state=initial,
         time_constant=time_constant,
         thinning_window=float(raw.get("thinning_window", 0.25)),
     )
-    censoring = CensoringSpec(law=_censoring_sampler(censoring_law, dim))
     return {"intensity": intensity, "censoring": censoring, "n": n, "seed": seed}
 
 

@@ -72,6 +72,20 @@ def test_simulate_rejects_empty_scenario(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate", ["1e308*1e308", "0*t + 1e308*1e308", "1/(x1-x1)"])
+def test_simulate_rejects_bad_rate_values(tmp_path, capsys, rate):
+    raw = default_scenario_json(n=5, seed=1)
+    raw["rates"]["1->2"] = rate
+    scenario = tmp_path / "bad_rate.json"
+    scenario.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "1->2" in err.splitlines()[-1]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_fit_writes_expected_files(workspace):
     out = workspace / "fit"
     code = main(

@@ -24,10 +24,19 @@ from condaalen.covariance import (
     occupation_covariance,
     zeta_values,
 )
-from condaalen.data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace, validate
+from condaalen.data import (
+    ABSORBED,
+    CENSORED,
+    ObservedPath,
+    Sample,
+    StateSpace,
+    load_sample,
+    validate,
+    write_sample,
+)
 from condaalen.estimators import HazardEstimate, OccupationEstimate, aalen_johansen, fit
 from condaalen.kernels import KernelSpec
-from condaalen.simulate import brute_force_estimator
+from condaalen.simulate import brute_force_estimator, default_scenario, simulate_sample
 from condaalen.stepfun import StepCurve, StepMatrix
 
 SPACE = StateSpace((1, 2, 3), frozenset({3}))
@@ -305,6 +314,25 @@ def test_fit_writers_match_literal_loops(case):
     sample, spec, x, bandwidth, epsilon = case
     r = fit(sample, x, spec, explicit_bandwidth=bandwidth, epsilon=epsilon)
     _assert_writers_match_literal(r, len(sample))
+
+
+def test_fit_command_matches_literal_loops(tmp_path):
+    # the command formats the shared event grid once for all points and files
+    sc = default_scenario(n=300, seed=8)
+    write_sample(simulate_sample(sc["intensity"], sc["censoring"], 300, 8), tmp_path / "s.csv")
+    points = ["0.25", "0.5", "0.75"]
+    argv = ["fit", "--input", str(tmp_path / "s.csv"), "--out", str(tmp_path / "cli"), "--json"]
+    assert cli.main(argv + [arg for x in points for arg in ("--x", x)]) == 0
+    sample = load_sample(tmp_path / "s.csv")
+    for i, x in enumerate(points):
+        r = fit(sample, (float(x),), epsilon=1e-4)
+        _literal_hazard_csv(r, tmp_path / "hazard.csv")
+        _literal_occupation_csv(r, tmp_path / "occupation.csv")
+        _literal_fit_json(r, len(sample), tmp_path / "fit.json")
+        for name in ("hazard", "occupation", "fit"):
+            suffix = "json" if name == "fit" else "csv"
+            got = (tmp_path / "cli" / f"{name}_{i}.{suffix}").read_bytes()
+            assert got == (tmp_path / f"{name}.{suffix}").read_bytes(), (name, x)
 
 
 # Every column holds 0.0 in row 0 and -0.0 in row 1; the other rows draw from here.

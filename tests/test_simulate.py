@@ -375,3 +375,74 @@ def test_default_scenario_shape():
     assert sc["seed"] == 99
     assert sc["intensity"].time_constant
     assert sc["intensity"].state_space.absorbing == frozenset({3})
+
+
+@pytest.mark.parametrize(
+    "rates,needle",
+    [
+        ({"1->2": "1e308*1e308"}, r"non-finite rate inf for 1->2 at t=0\.0"),
+        ({"1->2": "1e308*1e308 - 1e308*1e308"}, r"non-finite rate nan for 1->2 at t=0\.0"),
+        ({"1->2": "0*t + 1e308*1e308"}, r"non-finite rate inf for 1->2 at t=0\.0"),
+        ({"1->2": "1e308", "1->3": "1e308"}, r"total rate out of state 1 overflows"),
+        # the thinning majorant overflows too: it must raise, not stall at s + 0
+        ({"1->2": "1e308 + 0*t", "1->3": "1e308"}, r"total rate out of state 1 overflows"),
+        ({"1->2": "1/(x1-x1)"}, r"rate 1->2 at t=0\.0: float division by zero"),
+        ({"1->2": "exp(1000*(1+x1))"}, r"rate 1->2 at t=0\.0: math range error"),
+        ({"1->2": "(x1-2)**0.5"}, r"rate 1->2 at t=0\.0: float\(\) argument"),
+    ],
+    ids=["inf", "nan", "inf-thinning", "total", "total-thinning", "zero-div", "overflow", "complex"],
+)
+def test_bad_rate_values_name_the_transition(rates, needle):
+    sc = load_scenario(_scenario_dict(rates=rates))
+    with pytest.raises(ValueError, match=needle):
+        simulate_path(sc["intensity"], sc["censoring"], 1, 0)
+
+
+def test_nan_rate_rejected_from_any_intensity():
+    space = StateSpace((1, 2), frozenset({2}))
+    intensity = IntensitySpec(
+        kind=MARKOV,
+        rate=lambda j, k, t, d, x: math.nan,
+        covariate_law=lambda rng: (0.5,),
+        state_space=space,
+        initial_state=1,
+        time_constant=True,
+    )
+    censoring = CensoringSpec(law=lambda rng, x: 1.0)
+    with pytest.raises(ValueError, match=r"non-finite rate nan for 1->2 at t=0\.0"):
+        simulate_path(intensity, censoring, 1, 0)
+
+
+@pytest.mark.parametrize("seed,index", [(-1, 0), (0, -1), (-(2**40), 3)])
+def test_negative_seed_or_index_rejected(seed, index):
+    sc = load_scenario(_scenario_dict())
+    with pytest.raises(ValueError, match="non-negative"):
+        simulate_path(sc["intensity"], sc["censoring"], seed, index)
+
+
+@pytest.mark.parametrize(
+    "law,needle",
+    [
+        ({"values": [0.0, 1.0], "probs": [0.5, float("nan")]}, "NaN"),
+        ({"values": [0.0, 1.0], "probs": [1.5, -0.5]}, "non-negative"),
+        ({"values": [0.0, 1.0], "probs": [1.0]}, "2 values but 1 probs"),
+        ({"values": [0.0, 1.0], "probs": [0.5, 0.5 + 1e-6]}, "sum to 1"),
+        ({"values": [], "probs": []}, "at least one value"),
+        ({"values": [0.0, "a"], "probs": [0.5, 0.5]}, "lists of numbers"),
+        ({"values": 2, "probs": [0.5, 0.5]}, "lists of numbers"),
+        ({"values": [0.0, 1.0]}, "missing field 'probs'"),
+    ],
+    ids=["nan", "negative", "length", "sum", "empty", "text", "scalar", "missing"],
+)
+def test_discrete_law_checked_at_load(law, needle):
+    raw = _scenario_dict(covariates=[{"law": "discrete", **law}])
+    with pytest.raises(ValueError, match=needle):
+        load_scenario(raw)
+
+
+def test_discrete_law_accepts_numpy_slack():
+    # numpy's choice accepts probabilities within sqrt(eps) of summing to 1
+    raw = _scenario_dict(covariates=[{"law": "discrete", "values": [0, 2], "probs": [0.5, 0.5 - 1e-9]}])
+    sc = load_scenario(raw)
+    s = simulate_sample(sc["intensity"], sc["censoring"], 40, 2)
+    assert {p.covariates for p in s.paths} == {(0.0,), (2.0,)}
