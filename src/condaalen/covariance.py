@@ -47,17 +47,6 @@ from .stepfun import StepCurve
 
 
 @dataclass(frozen=True)
-class PerturbationIndicator:
-    """Per-state 0/1 curves: exposure left limit strictly above the floor.
-
-    The value stored at a grid time is the indicator evaluated at that
-    time's left limit.
-    """
-
-    curves: dict[int, StepCurve]
-
-
-@dataclass(frozen=True)
 class InfluenceCurve:
     """Influence curves of one subject.
 
@@ -83,17 +72,6 @@ class CovarianceSurface:
             raise ValueError("values must be square over the grid")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
-
-
-def perturbation_indicator(hazard: HazardEstimate) -> PerturbationIndicator:
-    expo_left = hazard.exposure_left()
-    grid = hazard.times
-    init = hazard.initial_exposure()
-    curves = {}
-    for i, s in enumerate(hazard.states):
-        vals = (expo_left[:, i] > hazard.epsilon).astype(float)
-        curves[s] = StepCurve(grid, vals, float(init[i] > hazard.epsilon))
-    return PerturbationIndicator(curves)
 
 
 def _subject_left_indicator(path, grid: np.ndarray, states: tuple[int, ...]) -> np.ndarray:

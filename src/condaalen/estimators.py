@@ -8,6 +8,14 @@ arrays. Ties across subjects are aggregated at a single grid point. Left
 limits at a grid point are the values held on the preceding inter-event
 interval.
 
+A hazard increment is the kernel-weighted count increment over the
+kernel-weighted exposure left limit, floored at ``epsilon``. The exposure
+comes from the flow identity (Andersen, Borgan, Gill & Keiding 1993):
+initial mass, plus inflow, minus outflow, minus censoring. The count
+and censoring increments are differences of their cumulative arrays,
+never the raw weighted sums those were built from; the two differ in the
+last bits, which the 17-digit CLI output shows.
+
 The cumulative hazard matrix follows the generator sign convention: its
 diagonal is the negative row sum of the off-diagonal entries, so each
 one-step factor of the product integral is a stochastic matrix and the
@@ -105,66 +113,20 @@ def event_grid(sample: Sample) -> np.ndarray:
     return sample.table.grid
 
 
-def estimate_counts(sample: Sample, w) -> StepMatrix:
-    """Cumulative kernel-weighted transition counts on the event grid.
-
-    Entry ``(j, k)`` at time ``t`` is the weight of subjects observed to
-    move from state ``j`` to state ``k`` up to ``t``. Jumps past a
-    subject's end of follow-up are not counted.
-    """
-    tab = sample.table
-    m, size = len(tab.grid), sample.state_space.size
-    cell = (tab.pos * size + tab.src) * size + tab.dst
-    weights = np.asarray(w, dtype=float)[tab.subj]
-    inc = np.bincount(cell, weights=weights, minlength=m * size * size)
-    return StepMatrix(tab.grid, np.cumsum(inc.reshape(m, size, size), axis=0))
-
-
-def estimate_censoring(sample: Sample, w) -> dict[int, StepCurve]:
-    """Per-state cumulative weight of subjects censored there by time t."""
-    tab = sample.table
-    states = sample.state_space.states
-    m, size = len(tab.grid), len(states)
-    cell = tab.end_pos[tab.censored] * size + tab.final[tab.censored]
-    weights = np.asarray(w, dtype=float)[tab.censored]
-    inc = np.bincount(cell, weights=weights, minlength=m * size)
-    cum = np.cumsum(inc.reshape(m, size), axis=0)
-    return {s: StepCurve(tab.grid, cum[:, i], 0.0) for i, s in enumerate(states)}
-
-
-def estimate_exposure(
-    counts: StepMatrix,
-    censoring: dict[int, StepCurve],
-    initial,
-    states: tuple[int, ...],
-) -> dict[int, StepCurve]:
-    """Per-state exposure built from the flow decomposition.
-
-    The exposure in a state equals its weight at time zero, minus the
-    weight censored there, plus the net weighted count flow in and out.
-    ``states`` gives the label of each matrix axis.
-    """
-    initial = np.asarray(initial, dtype=float)
-    grid = counts.times
-    d_counts = counts.increments()
-    inflow = d_counts.sum(axis=1)
-    outflow = d_counts.sum(axis=2)
-    out: dict[int, StepCurve] = {}
-    for i, s in enumerate(states):
-        d_cens = censoring[s].increments()
-        d_expo = inflow[:, i] - outflow[:, i] - d_cens
-        values = initial[i] + np.cumsum(d_expo)
-        out[s] = StepCurve(grid, values, float(initial[i]))
-    return out
-
-
 def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> HazardEstimate:
     """Conditional cumulative hazard under conditioning ``weights``.
 
-    Each off-diagonal hazard increment at a grid time is the weighted
-    count increment divided by the exposure left limit, floored at
-    ``epsilon``. Grid times where the floor engaged are recorded per
-    state in ``floor_active``.
+    One pass over ``sample.table``: weighted bincounts of the jumps per
+    (grid time, from, to) cell, of the censored subjects per (end time,
+    final state) cell and of the initial states. The exposure follows
+    the flow identity, initial mass plus inflow minus outflow minus
+    censoring; jumps past a subject's end of follow-up are not counted.
+    Each off-diagonal hazard increment is the count increment over the
+    exposure left limit floored at ``epsilon``; the grid times where the
+    left limit was below ``epsilon`` are recorded per state in
+    ``floor_active``. Count and censoring increments are differences of
+    the cumulative arrays, not the raw bincounts, which differ from them
+    in the last bits.
 
     Raises
     ------
@@ -178,30 +140,42 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
     if weights.degenerate:
         raise NoKernelMass("no kernel mass in the conditioning weights")
     w = weights.weights
+    tab = sample.table
     states = sample.state_space.states
     grid = event_grid(sample)
-    counts = estimate_counts(sample, w)
-    censoring = estimate_censoring(sample, w)
-    initial = np.bincount(sample.table.init, weights=w, minlength=len(states))
-    exposure = estimate_exposure(counts, censoring, initial, states)
+    m, size = len(grid), len(states)
 
-    expo_left = np.vstack([initial, np.column_stack([exposure[s].values for s in states])])[:-1]
-    denom = np.maximum(expo_left, epsilon)
-    d_hazard = counts.increments() / denom[:, :, None]
-    diag = np.arange(len(states))
+    # each cumulative sum overwrites its bincount, which is never read again
+    jump_cell = (tab.pos * size + tab.src) * size + tab.dst
+    jumps = np.bincount(jump_cell, weights=w[tab.subj], minlength=m * size * size)
+    jumps = jumps.reshape(m, size, size)
+    counts = StepMatrix(grid, np.cumsum(jumps, axis=0, out=jumps))
+    d_counts = counts.increments()
+
+    cens_cell = tab.end_pos[tab.censored] * size + tab.final[tab.censored]
+    cens = np.bincount(cens_cell, weights=w[tab.censored], minlength=m * size).reshape(m, size)
+    d_cens = np.diff(np.cumsum(cens, axis=0, out=cens), axis=0, prepend=0.0)
+
+    initial = np.bincount(tab.init, weights=w, minlength=size)
+    expo = initial + np.cumsum(d_counts.sum(axis=1) - d_counts.sum(axis=2) - d_cens, axis=0)
+    expo_left = np.vstack([initial, expo])[:-1]
+
+    d_hazard = d_counts  # divided in place: one (m, S, S) array fewer at the peak
+    d_hazard /= np.maximum(expo_left, epsilon)[:, :, None]
+    diag = np.arange(size)
     d_hazard[:, diag, diag] = 0.0
     d_hazard[:, diag, diag] = -d_hazard.sum(axis=2)
-    hazard = StepMatrix(grid, np.cumsum(d_hazard, axis=0))
 
-    floor_active = {
-        s: tuple(grid[expo_left[:, i] < epsilon]) for i, s in enumerate(states)
-    }
     return HazardEstimate(
-        hazard=hazard,
+        hazard=StepMatrix(grid, np.cumsum(d_hazard, axis=0)),
         epsilon=float(epsilon),
-        exposure=exposure,
+        exposure={
+            s: StepCurve(grid, expo[:, i], float(initial[i])) for i, s in enumerate(states)
+        },
         counts=counts,
-        floor_active=floor_active,
+        floor_active={
+            s: tuple(grid[expo_left[:, i] < epsilon]) for i, s in enumerate(states)
+        },
         states=states,
     )
 
@@ -283,6 +257,8 @@ def fit(
 
     ``x`` may be an :class:`EvalPoint` or a coordinate sequence; ``spec``
     defaults to an epanechnikov kernel in every dimension with no atoms.
+    An :class:`EvalPoint` whose atom flags disagree with ``spec``'s
+    declared atoms raises ``ValueError`` naming the dimension.
     The default horizon is the largest censoring time carrying positive
     weight, falling back to the last event time. An explicit ``theta``
     must be a finite number >= 0, and ``epsilon`` a finite number > 0;
@@ -292,7 +268,15 @@ def fit(
         raise ValueError(f"theta must be a finite number >= 0, got {theta!r}")
     if spec is None:
         spec = KernelSpec.for_dims(sample.covariate_dim)
-    if not isinstance(x, EvalPoint):
+    if isinstance(x, EvalPoint):
+        expected = spec.eval_point(x.coords).atom_flags
+        for dim, (flag, atom) in enumerate(zip(x.atom_flags, expected), start=1):
+            if flag != atom:
+                raise ValueError(
+                    f"atom flag of dimension {dim} is {flag}, but x={x.coords[dim - 1]!r} "
+                    f"{'is' if atom else 'is not'} a declared atom of that dimension"
+                )
+    else:
         x = spec.eval_point(x)
     schedule = BandwidthSchedule.for_point(x, eta=eta, explicit=explicit_bandwidth)
     a = bandwidth(schedule, len(sample))

@@ -95,8 +95,10 @@ class BandwidthSchedule:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if self.d_continuous < 0:
             raise ValueError("d_continuous must be nonnegative")
-        if self.explicit is not None and not self.explicit > 0:
-            raise ValueError("explicit bandwidth must be positive")
+        if self.explicit is not None and not 0.0 < self.explicit < math.inf:
+            raise ValueError(
+                f"explicit bandwidth must be a finite number > 0, got {self.explicit!r}"
+            )
 
     @classmethod
     def for_point(cls, x: EvalPoint, eta: float = 0.75, explicit: float | None = None):

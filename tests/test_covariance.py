@@ -10,7 +10,6 @@ from condaalen.covariance import (
     influence_gamma,
     influence_zeta,
     occupation_covariance,
-    perturbation_indicator,
     zeta_values,
 )
 from condaalen.data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace
@@ -242,12 +241,3 @@ def test_default_surface_grid_limits():
 def test_surface_shape_validation():
     with pytest.raises(ValueError):
         CovarianceSurface(np.array([1.0, 2.0]), np.zeros((3, 3)))
-
-
-def test_perturbation_indicator_tracks_floor():
-    sample, r = _two_path_fit()
-    ind = perturbation_indicator(r.hazard)
-    np.testing.assert_array_equal(ind.curves[1].values, [1.0, 1.0])
-    assert ind.curves[1].initial == 1.0
-    # state 2 has zero exposure entering the first event time
-    np.testing.assert_array_equal(ind.curves[2].values, [0.0, 1.0])

@@ -34,8 +34,14 @@ from condaalen.data import (
     validate,
     write_sample,
 )
-from condaalen.estimators import HazardEstimate, OccupationEstimate, aalen_johansen, fit
-from condaalen.kernels import KernelSpec
+from condaalen.estimators import (
+    HazardEstimate,
+    OccupationEstimate,
+    aalen_johansen,
+    fit,
+    nelson_aalen,
+)
+from condaalen.kernels import KernelSpec, nw_weights
 from condaalen.simulate import brute_force_estimator, default_scenario, simulate_sample
 from condaalen.stepfun import StepCurve, StepMatrix
 
@@ -204,6 +210,90 @@ def test_aalen_johansen_empty_grid():
     hazard = _generator_steps(np.zeros((0, 3, 3)))
     occ = aalen_johansen(hazard, np.array([1.0, 0.0, 0.0]))
     assert occ.values.shape == (0, 3)
+
+
+# --- nelson_aalen against the step-by-step helper chain --------------------
+
+
+def _literal_nelson_aalen(sample, w, epsilon):
+    """Counts, then censoring curves, then exposure curves, then the hazard."""
+    tab = sample.table
+    states = sample.state_space.states
+    grid = tab.grid
+    m, size = len(grid), len(states)
+
+    cell = (tab.pos * size + tab.src) * size + tab.dst
+    inc = np.bincount(cell, weights=w[tab.subj], minlength=m * size * size)
+    counts = StepMatrix(grid, np.cumsum(inc.reshape(m, size, size), axis=0))
+
+    cell = tab.end_pos[tab.censored] * size + tab.final[tab.censored]
+    inc = np.bincount(cell, weights=w[tab.censored], minlength=m * size)
+    cum = np.cumsum(inc.reshape(m, size), axis=0)
+    censoring = {s: StepCurve(grid, cum[:, i], 0.0) for i, s in enumerate(states)}
+
+    initial = np.bincount(tab.init, weights=w, minlength=size)
+    d_counts = counts.increments()
+    inflow, outflow = d_counts.sum(axis=1), d_counts.sum(axis=2)
+    exposure = {}
+    for i, s in enumerate(states):
+        d_expo = inflow[:, i] - outflow[:, i] - censoring[s].increments()
+        exposure[s] = StepCurve(grid, initial[i] + np.cumsum(d_expo), float(initial[i]))
+
+    values = np.column_stack([exposure[s].values for s in states])
+    expo_left = np.vstack([initial, values])[:-1]
+    d_hazard = counts.increments() / np.maximum(expo_left, epsilon)[:, :, None]
+    diag = np.arange(size)
+    d_hazard[:, diag, diag] = 0.0
+    d_hazard[:, diag, diag] = -d_hazard.sum(axis=2)
+    floor_active = {s: tuple(grid[expo_left[:, i] < epsilon]) for i, s in enumerate(states)}
+    return HazardEstimate(
+        StepMatrix(grid, np.cumsum(d_hazard, axis=0)),
+        float(epsilon),
+        exposure,
+        counts,
+        floor_active,
+        states,
+    )
+
+
+def _same_bits(a, b):
+    """Equal shapes and equal bits, so 0.0 and -0.0 differ and NaN equals NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _assert_hazard_bits(sample, weights, epsilon):
+    got = nelson_aalen(sample, weights, epsilon)
+    want = _literal_nelson_aalen(sample, weights.weights, epsilon)
+    assert _same_bits(got.hazard.values, want.hazard.values)
+    assert _same_bits(got.counts.values, want.counts.values)
+    assert _same_bits(got.exposure_left(), want.exposure_left())
+    assert got.states == want.states and got.epsilon == want.epsilon
+    for s in want.states:
+        assert _same_bits(got.exposure[s].values, want.exposure[s].values)
+        assert _same_bits(got.exposure[s].initial, want.exposure[s].initial)
+        assert isinstance(got.exposure[s].initial, float)
+        assert _same_bits(got.floor_active[s], want.floor_active[s])
+
+
+@given(fits())
+@settings(max_examples=100, deadline=None)
+def test_nelson_aalen_matches_helper_chain(case):
+    sample, spec, x, bandwidth, epsilon = case
+    _assert_hazard_bits(sample, nw_weights(sample, x, spec, bandwidth), epsilon)
+
+
+@pytest.fixture(scope="module")
+def default_3000():
+    sc = default_scenario(n=3000, seed=11)
+    return simulate_sample(sc["intensity"], sc["censoring"], 3000, 11)
+
+
+@pytest.mark.parametrize("epsilon", [1e-4, 0.05])
+@pytest.mark.parametrize("coord", [0.1, 0.5, 0.9])
+def test_nelson_aalen_matches_helper_chain_at_n3000(default_3000, coord, epsilon):
+    weights = fit(default_3000, (coord,), epsilon=epsilon).weights
+    _assert_hazard_bits(default_3000, weights, epsilon)
 
 
 # --- CLI writers against the literal csv.writer / json.dump loops ---------

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from condaalen.data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace
+from condaalen.data import ABSORBED, CENSORED, EvalPoint, ObservedPath, Sample, StateSpace
 from condaalen.estimators import (
     HazardEstimate,
     aalen_johansen,
-    estimate_censoring,
-    estimate_counts,
-    estimate_exposure,
     event_grid,
     fit,
     nelson_aalen,
@@ -20,9 +17,11 @@ from condaalen.kernels import (
     BandwidthSchedule,
     KernelSpec,
     NoKernelMass,
+    WeightVector,
     bandwidth,
     nw_weights,
 )
+from condaalen.simulate import default_scenario, simulate_sample
 from condaalen.stepfun import StepMatrix
 
 
@@ -49,9 +48,13 @@ def test_event_grid_contents():
     np.testing.assert_array_equal(event_grid(only), [0.7])
 
 
+def _half_weights():
+    return WeightVector([0.5, 0.5], 1.0, False)
+
+
 def test_counts_two_paths():
     s = _two_path_sample()
-    counts = estimate_counts(s, [0.5, 0.5])
+    counts = nelson_aalen(s, _half_weights(), 1e-4).counts
     np.testing.assert_array_equal(counts.times, [1.0, 2.0])
     assert counts.at(1.0)[0, 1] == 0.5
     assert counts.at(2.0)[0, 1] == 0.5
@@ -65,23 +68,31 @@ def test_counts_skip_zero_weight_and_clip():
     bad = ObservedPath((0.0,), 1, ((3.0, 2),), 1.0, CENSORED)
     ok = ObservedPath((0.0,), 1, ((0.5, 2),), 0.5, ABSORBED)
     s = Sample((bad, ok), space)
-    counts = estimate_counts(s, [0.5, 0.5])
+    counts = nelson_aalen(s, _half_weights(), 1e-4).counts
     assert counts.values[-1][0, 1] == 0.5
 
 
 def test_censoring_two_paths():
+    # the censored weight is what the flow identity leaves unexplained:
+    # initial mass + inflow - outflow - exposure
     s = _two_path_sample()
-    cens = estimate_censoring(s, [0.5, 0.5])
-    assert cens[1](1.0) == 0.0
-    assert cens[1](2.0) == 0.5
-    assert cens[2](2.0) == 0.0
+    h = nelson_aalen(s, _half_weights(), 1e-4)
+
+    def censored(state, t):
+        i = h.states.index(state)
+        flow = h.counts.at(t)[:, i].sum() - h.counts.at(t)[i, :].sum()
+        return h.exposure[state].initial + flow - h.exposure[state](t)
+
+    assert censored(1, 1.0) == 0.0
+    assert censored(1, 2.0) == 0.5
+    assert censored(2, 2.0) == 0.0
+    # B leaves state 1 at t=2 by censoring alone: the exposure drops by its weight
+    assert h.exposure[1](1.0) - h.exposure[1](2.0) == 0.5
 
 
 def test_exposure_two_paths():
     s = _two_path_sample()
-    counts = estimate_counts(s, [0.5, 0.5])
-    cens = estimate_censoring(s, [0.5, 0.5])
-    expo = estimate_exposure(counts, cens, [1.0, 0.0], (1, 2))
+    expo = nelson_aalen(s, _half_weights(), 1e-4).exposure
     assert expo[1].initial == 1.0
     np.testing.assert_allclose(expo[1].values, [0.5, 0.0])
     assert expo[2].initial == 0.0
@@ -171,6 +182,44 @@ def test_fit_raises_without_kernel_mass():
     s = _two_path_sample()
     with pytest.raises(NoKernelMass, match="9.0"):
         fit(s, (9.0,), explicit_bandwidth=0.5)
+
+
+@pytest.mark.parametrize(
+    "value, shown", [(math.inf, "inf"), (math.nan, "nan"), (0.0, "0.0"), (-0.2, "-0.2")]
+)
+def test_fit_rejects_bad_explicit_bandwidth(value, shown):
+    # an infinite bandwidth must not surface as a false "no kernel mass"
+    message = f"explicit bandwidth must be a finite number > 0, got {shown}$"
+    with pytest.raises(ValueError, match=message) as info:
+        fit(_two_path_sample(), (0.5,), explicit_bandwidth=value)
+    assert not isinstance(info.value, NoKernelMass)
+    with pytest.raises(ValueError, match=message):
+        BandwidthSchedule(explicit=value)
+
+
+@pytest.fixture(scope="module")
+def default_400():
+    sc = default_scenario(n=400, seed=1)
+    return simulate_sample(sc["intensity"], sc["censoring"], 400, 1)
+
+
+def test_fit_rejects_atom_flag_not_declared_in_spec(default_400):
+    # a flag the spec does not declare would put the bandwidth at the
+    # d_continuous = 0 sentinel while the weights still smooth
+    spec = KernelSpec.for_dims(1)
+    with pytest.raises(ValueError, match="dimension 1 is True, but x=0.5 is not") as info:
+        fit(default_400, EvalPoint((0.5,), (True,)), spec)
+    assert not isinstance(info.value, NoKernelMass)
+    assert fit(default_400, spec.eval_point((0.5,)), spec).bandwidth != 1.0
+
+
+def test_fit_rejects_declared_atom_flagged_continuous(default_400):
+    # the weights follow the spec and match x=0.5 exactly, which no subject
+    # does, so the flag would surface as a false "no kernel mass"
+    spec = KernelSpec.for_dims(1, atoms=((0.5,),))
+    with pytest.raises(ValueError, match="dimension 1 is False, but x=0.5 is a declared") as info:
+        fit(default_400, EvalPoint((0.5,), (False,)), spec)
+    assert not isinstance(info.value, NoKernelMass)
 
 
 def test_product_integral_empty_interval_is_identity():
