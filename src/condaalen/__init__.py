@@ -41,7 +41,6 @@ from .estimators import (
     product_integral,
 )
 from .kernels import (
-    BandwidthSchedule,
     KernelSpec,
     NoKernelMass,
     WeightVector,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ABSORBED",
     "CENSORED",
-    "BandwidthSchedule",
     "CensoringSpec",
     "CovarianceSurface",
     "EvalPoint",

@@ -194,9 +194,8 @@ def _write_rows(handle, times, labels, values, keep=None) -> None:
             handle.write(text + "\r\n")
 
 
-def _write_hazard_csv(result: FitResult, path: str, grid=None) -> None:
-    """Write the hazard CSV; ``grid`` is the formatted event grid, if already made."""
-    grid = _format_distinct(result.hazard.times) if grid is None else grid
+def _write_hazard_csv(result: FitResult, path: str, grid: np.ndarray) -> None:
+    """Write the hazard CSV; ``grid`` is the formatted event grid."""
     states = result.hazard.states
     off = ~np.eye(len(states), dtype=bool)  # the (j, k) pairs with j != k, row-major
     pairs = [f"{states[a]},{states[b]}" for a, b in zip(*np.nonzero(off))]
@@ -216,10 +215,9 @@ def _write_hazard_csv(result: FitResult, path: str, grid=None) -> None:
         _write_rows(handle, grid, labels, values, keep)
 
 
-def _write_occupation_csv(result: FitResult, path: str, grid=None) -> None:
-    """Write the occupation CSV; ``grid`` is the formatted event grid, if already made."""
+def _write_occupation_csv(result: FitResult, path: str, grid: np.ndarray) -> None:
+    """Write the occupation CSV; ``grid`` is the formatted event grid."""
     occupation = result.occupation
-    grid = _format_distinct(occupation.times) if grid is None else grid
     # the initial distribution is the row at time 0
     times = np.concatenate([[_fmt(0.0)], grid])
     values = np.vstack([occupation.initial, occupation.values])
@@ -287,8 +285,8 @@ def _write_json(body: dict, path: str) -> None:
     arrays.clear()
 
 
-def _fit_json(result: FitResult, n: int, grid=None) -> dict:
-    """The ``fit`` JSON body; ``grid`` is the event grid's JSON text, if already made."""
+def _fit_json(result: FitResult, n: int, grid: np.ndarray) -> dict:
+    """The ``fit`` JSON body; ``grid`` is the event grid's JSON text."""
     states = result.hazard.states
     hazard = result.hazard.hazard.values
     counts = result.hazard.counts.values
@@ -304,7 +302,7 @@ def _fit_json(result: FitResult, n: int, grid=None) -> dict:
         "density": result.weights.density_value,
         "phi": result.phi,
         "states": list(states),
-        "grid": result.hazard.times if grid is None else grid,
+        "grid": grid,
         "initial": {str(s): float(v) for s, v in zip(states, result.occupation.initial)},
         "hazard": {},
         "counts": {},

@@ -205,19 +205,6 @@ def _gram(rows: np.ndarray, weights: np.ndarray, grid: np.ndarray) -> Covariance
     return CovarianceSurface(grid, values)
 
 
-def cov_hazard(influences, w: WeightVector, grid) -> CovarianceSurface:
-    """Weighted Gram surface of hazard influence curves on ``grid``.
-
-    ``influences`` holds one subject's curve per sample path, aligned
-    with the weight order: either the per-pair :class:`StepCurve`
-    directly or the subject's :class:`InfluenceCurve` together with the
-    pair selected by the caller beforehand.
-    """
-    grid = np.asarray(grid, dtype=float)
-    rows = np.array([curve(grid) for curve in influences])
-    return _gram(rows, w.weights, grid)
-
-
 def default_surface_grid(times: np.ndarray, size: int = 50) -> np.ndarray:
     """Equispaced quantiles of the event times, snapped to observations."""
     times = np.asarray(times, dtype=float)

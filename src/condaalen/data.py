@@ -18,8 +18,6 @@ import numpy as np
 CENSORED = "censored"
 ABSORBED = "absorbed"
 
-_DEFAULT_COLUMNS = {"id": "id", "time": "time", "state": "state", "end": "end"}
-
 
 class ParseError(ValueError):
     """Malformed CSV content; carries the offending line number."""
@@ -255,17 +253,19 @@ def counting_increments(path: ObservedPath) -> list[tuple[float, int, int]]:
     return out
 
 
-def validate(sample: Sample) -> list[str]:
+def validate(sample: Sample, labels=None) -> list[str]:
     """Check every path invariant; returns violation messages, empty if clean.
 
-    Violations name the offending subject by its position in the sample.
+    Violations name the offending subject by its entry in ``labels``, one
+    string per path, or else by its position in the sample.
     """
     problems: list[str] = []
     space = sample.state_space
     known = set(space.states)
     dim = sample.covariate_dim
-    for idx, path in enumerate(sample.paths):
-        where = f"subject {idx}"
+    if labels is None:
+        labels = [f"subject {idx}" for idx in range(len(sample))]
+    for where, path in zip(labels, sample.paths, strict=True):
         if len(path.covariates) != dim:
             problems.append(f"{where}: covariate dimension {len(path.covariates)} != {dim}")
         if not all(math.isfinite(c) for c in path.covariates):
@@ -300,21 +300,6 @@ def validate(sample: Sample) -> list[str]:
     return problems
 
 
-def _resolve_schema(schema: dict | None) -> dict:
-    cols = dict(_DEFAULT_COLUMNS)
-    covariates = None
-    states = None
-    absorbing = None
-    if schema:
-        for key in ("id", "time", "state", "end"):
-            if key in schema:
-                cols[key] = schema[key]
-        covariates = schema.get("covariates")
-        states = schema.get("states")
-        absorbing = schema.get("absorbing")
-    return {"cols": cols, "covariates": covariates, "states": states, "absorbing": absorbing}
-
-
 def load_sample(path, schema: dict | None = None) -> Sample:
     """Read a long-format CSV into a :class:`Sample`.
 
@@ -342,10 +327,11 @@ def load_sample(path, schema: dict | None = None) -> Sample:
         Malformed rows, non-finite times or covariates, duplicate
         (id, time) pairs, missing columns.
     ValidationError
-        Parsed paths that violate the path invariants.
+        Parsed paths that violate the path invariants, each named by its
+        subject id and the line of its time-0 row.
     """
-    conf = _resolve_schema(schema)
-    cols = conf["cols"]
+    schema = schema or {}
+    cols = {key: schema.get(key, key) for key in ("id", "time", "state", "end")}
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -357,8 +343,8 @@ def load_sample(path, schema: dict | None = None) -> Sample:
         for key in ("id", "time", "state"):
             if cols[key] not in position:
                 raise ParseError(f"missing required column {cols[key]!r}")
-        if conf["covariates"] is not None:
-            covar_cols = list(conf["covariates"])
+        if schema.get("covariates") is not None:
+            covar_cols = list(schema["covariates"])
             for name in covar_cols:
                 if name not in position:
                     raise ParseError(f"missing covariate column {name!r}")
@@ -404,7 +390,7 @@ def load_sample(path, schema: dict | None = None) -> Sample:
         if not order:
             raise ParseError("no subjects in file")
 
-    paths = []
+    paths, labels = [], []
     for sid in order:
         rows = sorted(rows_by_id[sid], key=lambda r: r[0])
         for (t_a, *_), (t_b, _, _, line_b, _) in zip(rows, rows[1:]):
@@ -413,6 +399,8 @@ def load_sample(path, schema: dict | None = None) -> Sample:
         first_time, first_state, _, first_line, first_cells = rows[0]
         if first_time != 0.0:
             raise ValidationError(f"id {sid!r}: first row must be at time 0 (line {first_line})")
+        if len(rows) == 1:
+            raise ValidationError(f"id {sid!r}: no row after the time-0 row (line {first_line})")
         covariates = []
         for name, cell in zip(covar_cols, first_cells):
             try:
@@ -450,14 +438,10 @@ def load_sample(path, schema: dict | None = None) -> Sample:
                 end_reason=CENSORED if censored else ABSORBED,
             )
         )
+        labels.append(f"id {sid!r} (line {first_line})")
 
-    if conf["states"] is not None:
-        space = StateSpace(tuple(conf["states"]), frozenset(conf["absorbing"] or ()))
-        known = set(space.states)
-        for sid, p in zip(order, paths):
-            bad = [s for s in [p.initial_state] + [s for _, s in p.jumps] if s not in known]
-            if bad:
-                raise ValidationError(f"id {sid!r}: unknown state label {bad[0]}")
+    if schema.get("states") is not None:
+        space = StateSpace(tuple(schema["states"]), frozenset(schema.get("absorbing") or ()))
     else:
         seen: set[int] = set()
         terminal: set[int] = set()
@@ -469,7 +453,7 @@ def load_sample(path, schema: dict | None = None) -> Sample:
         space = StateSpace(tuple(sorted(seen)), frozenset(terminal))
 
     sample = Sample(tuple(paths), space)
-    problems = validate(sample)
+    problems = validate(sample, labels)
     if problems:
         raise ValidationError("; ".join(problems))
     return sample

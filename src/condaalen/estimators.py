@@ -31,7 +31,6 @@ import numpy as np
 
 from .data import EvalPoint, Sample
 from .kernels import (
-    BandwidthSchedule,
     KernelSpec,
     NoKernelMass,
     WeightVector,
@@ -278,8 +277,7 @@ def fit(
                 )
     else:
         x = spec.eval_point(x)
-    schedule = BandwidthSchedule.for_point(x, eta=eta, explicit=explicit_bandwidth)
-    a = bandwidth(schedule, len(sample))
+    a = bandwidth(len(sample), x.d_continuous, eta=eta, explicit=explicit_bandwidth)
     weights = nw_weights(sample, x, spec, a)
     try:
         hazard = nelson_aalen(sample, weights, epsilon)

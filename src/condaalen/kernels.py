@@ -75,36 +75,6 @@ class KernelSpec:
         return EvalPoint(coords, flags)
 
 
-@dataclass(frozen=True)
-class BandwidthSchedule:
-    """Sample-size dependent bandwidth.
-
-    ``eta`` controls the decay ``a_n ** d_continuous = log(n) / n**(1 - eta)``;
-    an explicit bandwidth overrides the schedule. ``d_continuous`` counts
-    the non-atomic coordinates of the evaluation point; with none, the
-    bandwidth degenerates to the sentinel value 1 and never enters any
-    kernel factor.
-    """
-
-    eta: float = 0.75
-    d_continuous: int = 1
-    explicit: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if self.d_continuous < 0:
-            raise ValueError("d_continuous must be nonnegative")
-        if self.explicit is not None and not 0.0 < self.explicit < math.inf:
-            raise ValueError(
-                f"explicit bandwidth must be a finite number > 0, got {self.explicit!r}"
-            )
-
-    @classmethod
-    def for_point(cls, x: EvalPoint, eta: float = 0.75, explicit: float | None = None):
-        return cls(eta=eta, d_continuous=x.d_continuous, explicit=explicit)
-
-
 def kernel_eval(kernel: str, u) -> np.ndarray | float:
     """Evaluate a kernel id at ``u``; zero outside [-1, 1].
 
@@ -134,21 +104,35 @@ def kernel_l2(kernel: str) -> float:
         raise ValueError(f"unknown kernel id {kernel!r}") from None
 
 
-def bandwidth(schedule: BandwidthSchedule, n: int) -> float:
-    """Bandwidth for a sample of size ``n`` under the schedule.
+def bandwidth(
+    n: int, d_continuous: int = 1, *, eta: float = 0.75, explicit: float | None = None
+) -> float:
+    """Bandwidth for a sample of size ``n``.
 
-    >>> round(bandwidth(BandwidthSchedule(eta=0.75, d_continuous=1), 100), 6)
+    ``eta`` controls the decay ``a_n ** d_continuous = log(n) / n**(1 - eta)``;
+    an explicit bandwidth overrides the schedule. ``d_continuous`` counts
+    the non-atomic coordinates of the evaluation point; with none, the
+    bandwidth degenerates to the sentinel value 1 and never enters any
+    kernel factor.
+
+    >>> round(bandwidth(100, 1, eta=0.75), 6)
     1.456283
     """
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    if d_continuous < 0:
+        raise ValueError("d_continuous must be nonnegative")
+    if explicit is not None and not 0.0 < explicit < math.inf:
+        raise ValueError(f"explicit bandwidth must be a finite number > 0, got {explicit!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    if schedule.explicit is not None:
-        return schedule.explicit
-    if schedule.d_continuous == 0:
+    if explicit is not None:
+        return explicit
+    if d_continuous == 0:
         return 1.0
     if n == 1:
         raise ValueError("bandwidth schedule needs n >= 2")
-    return (math.log(n) / n ** (1.0 - schedule.eta)) ** (1.0 / schedule.d_continuous)
+    return (math.log(n) / n ** (1.0 - eta)) ** (1.0 / d_continuous)
 
 
 @dataclass(frozen=True)
@@ -178,8 +162,8 @@ def nw_weights(sample: Sample, x: EvalPoint, spec: KernelSpec, a: float) -> Weig
     kernel mass to non-atomic coordinates. Weights are the factors
     normalized to sum to one and ``density_value`` is their mean.
     """
-    if not a > 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"bandwidth must be a finite number > 0, got {a!r}")
     if x.dim != spec.dim:
         raise ValueError(f"evaluation point has {x.dim} coordinates, spec has {spec.dim}")
     if len(sample) == 0:

@@ -603,7 +603,10 @@ def _censoring_sampler(law: dict, dim: int):
     kind = law["law"]
     if kind == "exponential":
         rate_expr = str(law["rate"])
-        rate_fn, _ = compile_expression(rate_expr, dim)
+        rate_fn, used = compile_expression(rate_expr, dim)
+        if used & {"t", "duration"}:
+            # the censoring time is drawn once, at t = 0 and duration 0
+            raise ValueError(f"censoring rate {rate_expr!r} must not read t or duration")
 
         def draw(rng, x):
             try:
@@ -674,6 +677,8 @@ def load_scenario(source) -> dict:
         if j not in states or k not in states or j == k:
             raise ValueError(f"bad rate key {key!r} for states {states}")
         fn, used = compile_expression(str(expr), dim)
+        if "duration" in used and kind == MARKOV:
+            raise ValueError(f"rate {j}->{k} reads duration, which needs kind {SEMI_MARKOV!r}")
         compiled[(j, k)] = fn
         if used & {"t", "duration"}:
             time_constant = False

@@ -188,6 +188,29 @@ def test_fit_rejects_non_finite_input(tmp_path, capsys, line, row):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "rows, needle",
+    [
+        (["c,0,2,,0.4", "c,1.5,2,1,"], "initial state 2 is absorbing"),
+        (["c,0,1,,0.4", "c,1.0,2,,", "c,1.5,1,1,"], "jump out of absorbing state 2 at t=1.5"),
+        (["c,0,1,0,0.4"], "no row after the time-0 row"),
+    ],
+    ids=["absorbing-start", "jump-out-of-absorbing", "time-0-row-only"],
+)
+def test_fit_rejects_invalid_path_by_id_and_line(tmp_path, capsys, rows, needle):
+    # subject c starts on line 6; state 2 is absorbing because subject a ends there
+    data = tmp_path / "bad.csv"
+    data.write_text("\n".join(_GOOD_ROWS + rows) + "\n")
+    code = main(["fit", "--input", str(data), "--x", "0.5", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert needle in err
+    assert "id 'c'" in err
+    assert "line 6" in err
+    assert ";" not in err  # one message, not a cascade
+    assert "Traceback" not in err
+
+
 def test_fit_atoms_flag(workspace, tmp_path):
     out = tmp_path / "atom_fit"
     code = main(

@@ -3,7 +3,7 @@ import pytest
 
 from condaalen.covariance import (
     CovarianceSurface,
-    cov_hazard,
+    _gram,
     default_surface_grid,
     gamma_values,
     hazard_covariance,
@@ -205,7 +205,7 @@ def test_gram_rank_one():
     grid = np.array([1.0])
     curves = [StepCurve(grid, [2.0], 0.0), StepCurve(grid, [0.0], 0.0)]
     w = WeightVector([0.5, 0.5], 1.0, False)
-    surf = cov_hazard(curves, w, grid)
+    surf = _gram(np.array([curve(grid) for curve in curves]), w.weights, grid)
     np.testing.assert_allclose(surf.values, [[2.0]])
 
 
@@ -213,7 +213,7 @@ def test_gram_zero_rows():
     grid = np.array([1.0, 2.0])
     curves = [StepCurve(grid, [0.0, 0.0], 0.0) for _ in range(3)]
     w = WeightVector([0.2, 0.3, 0.5], 1.0, False)
-    surf = cov_hazard(curves, w, grid)
+    surf = _gram(np.array([curve(grid) for curve in curves]), w.weights, grid)
     np.testing.assert_array_equal(surf.values, np.zeros((2, 2)))
 
 

@@ -223,6 +223,20 @@ def test_validate_covariate_dim_mismatch():
     assert any("covariate dimension" in m for m in msgs)
 
 
+def test_validate_names_subjects_by_label(tmp_path):
+    p = ObservedPath((0.1,), 1, (), 1.0, CENSORED)
+    q = ObservedPath((0.1,), 4, (), 1.0, CENSORED)
+    sample = Sample((p, q), _space())
+    assert validate(sample) == ["subject 1: unknown state label 4"]
+    labels = ["id 'p' (line 2)", "id 'q' (line 3)"]
+    assert validate(sample, labels) == ["id 'q' (line 3): unknown state label 4"]
+    with pytest.raises(ValueError):
+        validate(sample, labels[:1])
+    # load_sample labels each subject by its id and the line of its time-0 row
+    with pytest.raises(ValidationError, match=r"; id 'b' \(line 5\): unknown state label 2;"):
+        load_sample(_write(tmp_path, BASIC), schema={"states": [1, 3], "absorbing": [3]})
+
+
 def test_state_space_validation():
     with pytest.raises(ValueError, match="distinct"):
         StateSpace((1, 1, 2))

@@ -383,15 +383,17 @@ def _literal_fit_json(result, n, path):
 
 
 def _assert_writers_match_literal(result, n):
+    grid = cli._format_distinct(result.hazard.times)
+    grid_json = cli._format_distinct(result.hazard.times, cli._json_float)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, fast, literal in (
             ("hazard.csv", cli._write_hazard_csv, _literal_hazard_csv),
             ("occupation.csv", cli._write_occupation_csv, _literal_occupation_csv),
         ):
-            fast(result, str(root / f"fast_{name}"))
+            fast(result, str(root / f"fast_{name}"), grid)
             literal(result, root / f"literal_{name}")
-        cli._write_json(cli._fit_json(result, n), str(root / "fast_fit.json"))
+        cli._write_json(cli._fit_json(result, n, grid_json), str(root / "fast_fit.json"))
         _literal_fit_json(result, n, root / "literal_fit.json")
         for name in ("hazard.csv", "occupation.csv", "fit.json"):
             got, want = root / f"fast_{name}", root / f"literal_{name}"

@@ -14,7 +14,6 @@ from condaalen.estimators import (
     product_integral,
 )
 from condaalen.kernels import (
-    BandwidthSchedule,
     KernelSpec,
     NoKernelMass,
     WeightVector,
@@ -35,7 +34,7 @@ def _two_path_sample():
 
 def _weights_at(sample, coord):
     spec = KernelSpec.for_dims(1)
-    a = bandwidth(BandwidthSchedule(), len(sample))
+    a = bandwidth(len(sample))
     return nw_weights(sample, spec.eval_point((coord,)), spec, a)
 
 
@@ -194,7 +193,7 @@ def test_fit_rejects_bad_explicit_bandwidth(value, shown):
         fit(_two_path_sample(), (0.5,), explicit_bandwidth=value)
     assert not isinstance(info.value, NoKernelMass)
     with pytest.raises(ValueError, match=message):
-        BandwidthSchedule(explicit=value)
+        bandwidth(2, explicit=value)
 
 
 @pytest.fixture(scope="module")

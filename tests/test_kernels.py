@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from condaalen.data import CENSORED, ObservedPath, Sample, StateSpace
 from condaalen.kernels import (
-    BandwidthSchedule,
     KernelSpec,
     bandwidth,
     kernel_eval,
@@ -72,32 +71,32 @@ def test_kernel_l2_matches_quadrature(kernel):
 
 
 def test_bandwidth_frozen_values():
-    assert bandwidth(BandwidthSchedule(eta=0.75, d_continuous=1), 100) == 1.4562826800423603
-    assert bandwidth(BandwidthSchedule(eta=0.75, d_continuous=2), 10**4) == 0.9597051824376163
+    assert bandwidth(100, 1, eta=0.75) == 1.4562826800423603
+    assert bandwidth(10**4, 2, eta=0.75) == 0.9597051824376163
 
 
 def test_bandwidth_direct_formula():
     for n, eta, d in ((50, 0.5, 1), (500, 0.9, 3), (20, 0.75, 2)):
         want = (math.log(n) / n ** (1 - eta)) ** (1 / d)
-        assert bandwidth(BandwidthSchedule(eta=eta, d_continuous=d), n) == want
+        assert bandwidth(n, d, eta=eta) == want
 
 
 def test_bandwidth_sentinel_and_overrides():
-    assert bandwidth(BandwidthSchedule(d_continuous=0), 100) == 1.0
-    assert bandwidth(BandwidthSchedule(explicit=0.2), 100) == 0.2
+    assert bandwidth(100, 0) == 1.0
+    assert bandwidth(100, explicit=0.2) == 0.2
     with pytest.raises(ValueError):
-        bandwidth(BandwidthSchedule(d_continuous=1), 1)
+        bandwidth(1, 1)
     with pytest.raises(ValueError):
-        bandwidth(BandwidthSchedule(d_continuous=1), 0)
+        bandwidth(0, 1)
 
 
 def test_bandwidth_schedule_validation():
     with pytest.raises(ValueError):
-        BandwidthSchedule(eta=0.0)
+        bandwidth(100, eta=0.0)
     with pytest.raises(ValueError):
-        BandwidthSchedule(eta=1.0)
+        bandwidth(100, eta=1.0)
     with pytest.raises(ValueError):
-        BandwidthSchedule(explicit=-1.0)
+        bandwidth(100, explicit=-1.0)
 
 
 def test_weights_single_path():
@@ -164,6 +163,16 @@ def test_weights_dimension_mismatch():
     s = _sample([0.4])
     with pytest.raises(ValueError):
         nw_weights(s, spec.eval_point((0.4, 0.5)), spec, 1.0)
+
+
+@pytest.mark.parametrize(
+    "a, shown", [(math.inf, "inf"), (math.nan, "nan"), (0.0, "0.0"), (-1.0, "-1.0")]
+)
+def test_weights_reject_bad_bandwidth(a, shown):
+    # an infinite bandwidth must not surface as a degenerate "no kernel mass"
+    spec = KernelSpec.for_dims(1)
+    with pytest.raises(ValueError, match=f"bandwidth must be a finite number > 0, got {shown}$"):
+        nw_weights(_sample([0.4, 0.6]), spec.eval_point((0.5,)), spec, a)
 
 
 @given(

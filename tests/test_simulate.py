@@ -276,6 +276,29 @@ def test_scenario_rejects_malformed(mangle, needle):
         simulate_path(sc["intensity"], sc["censoring"], 1, 0)
 
 
+def test_markov_rate_reading_duration_rejected():
+    # the markov oracle evaluates every rate at duration 0, so such a
+    # scenario would score the estimator against a wrong truth
+    raw = _scenario_dict(rates={"1->2": "0.8", "2->3": "2.0*duration"})
+    with pytest.raises(ValueError, match="rate 2->3 reads duration"):
+        load_scenario(raw)
+    assert load_scenario({**raw, "kind": SEMI_MARKOV})["intensity"].kind == SEMI_MARKOV
+
+
+@pytest.mark.parametrize("rate", ["0.3 + 5*t", "0.3*(1 + duration)", "0.3 + 0*t"])
+def test_censoring_rate_reading_time_rejected(rate):
+    # the exponential censoring time is drawn once, at t = 0 and duration 0
+    raw = _scenario_dict(censoring={"law": "exponential", "rate": rate})
+    with pytest.raises(ValueError, match="censoring rate .* must not read t or duration"):
+        load_scenario(raw)
+
+
+def test_censoring_rate_may_read_covariates():
+    raw = _scenario_dict(censoring={"law": "exponential", "rate": "0.3*(1 + x1)"})
+    sc = load_scenario(raw)
+    assert simulate_path(sc["intensity"], sc["censoring"], 1, 0).end_time > 0
+
+
 def test_intensity_spec_rejects_absorbing_start():
     space = StateSpace((1, 2), frozenset({2}))
     with pytest.raises(ValueError, match="absorbing"):
