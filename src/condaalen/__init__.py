@@ -9,7 +9,6 @@ simulation engine with exact oracles, and an acceptance check suite.
 
 from .covariance import (
     CovarianceSurface,
-    InfluenceCurve,
     default_surface_grid,
     hazard_covariance,
     influence_gamma,
@@ -19,7 +18,6 @@ from .covariance import (
 from .data import (
     ABSORBED,
     CENSORED,
-    EvalPoint,
     ObservedPath,
     ParseError,
     Sample,
@@ -51,7 +49,6 @@ from .kernels import (
     phi_estimate,
 )
 from .simulate import (
-    CensoringSpec,
     IntensitySpec,
     brute_force_estimator,
     compile_expression,
@@ -69,12 +66,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ABSORBED",
     "CENSORED",
-    "CensoringSpec",
     "CovarianceSurface",
-    "EvalPoint",
     "FitResult",
     "HazardEstimate",
-    "InfluenceCurve",
     "IntensitySpec",
     "KernelSpec",
     "NoKernelMass",

@@ -93,10 +93,14 @@ def _parse_atoms(entries, dim: int) -> tuple[tuple[float, ...], ...]:
             raise ValueError(f"bad --atoms dimension {head!r}") from None
         if not 1 <= pos <= dim:
             raise ValueError(f"--atoms dimension {pos} outside 1..{dim}")
+        if atom_sets[pos - 1]:
+            raise ValueError(f"--atoms dimension {pos} given more than once")
         try:
             values = tuple(float(v) for v in tail.split(","))
         except ValueError:
             raise ValueError(f"bad --atoms values {tail!r}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"--atoms {entry!r} has a non-finite value")
         atom_sets[pos - 1] = values
     return tuple(atom_sets)
 
@@ -113,7 +117,7 @@ def _load_and_fit(args) -> tuple[Sample, list[FitResult]]:
     )
     results = [fit(sample, coords, spec, **options) for coords in points]
     for i, result in enumerate(results):
-        _warn_flags(result, f"x[{i}]=({', '.join(_fmt(c) for c in result.x.coords)})")
+        _warn_flags(result, f"x[{i}]=({', '.join(_fmt(c) for c in result.x)})")
     os.makedirs(args.out, exist_ok=True)
     return sample, results
 
@@ -291,8 +295,8 @@ def _fit_json(result: FitResult, n: int, grid: np.ndarray) -> dict:
     hazard = result.hazard.hazard.values
     counts = result.hazard.counts.values
     body = {
-        "x": list(result.x.coords),
-        "atom_flags": list(result.x.atom_flags),
+        "x": list(result.x),
+        "atom_flags": list(result.spec.atom_flags(result.x)),
         "kernel": list(result.spec.kernels),
         "atoms": [list(a) for a in result.spec.atoms],
         "n": n,
@@ -377,7 +381,7 @@ def cmd_covariance(args) -> int:
         for s, surface in occ.items():
             _write_surface(surface, os.path.join(args.out, f"cov_occupation_{s}_{i}.csv"))
         meta = {
-            "x": list(result.x.coords),
+            "x": list(result.x),
             "grid": grid,
             "pairs": [f"{a}->{b}" for a, b in pairs],
             "states": list(states),

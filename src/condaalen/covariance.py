@@ -47,18 +47,6 @@ from .stepfun import StepCurve
 
 
 @dataclass(frozen=True)
-class InfluenceCurve:
-    """Influence curves of one subject.
-
-    ``curves`` maps an ordered state pair to the hazard influence or a
-    single state label to the occupation influence.
-    """
-
-    subject: int
-    curves: dict
-
-
-@dataclass(frozen=True)
 class CovarianceSurface:
     """Covariance values on a two-sided time grid."""
 
@@ -130,8 +118,8 @@ def influence_zeta(
     hazard: HazardEstimate,
     phi: float,
     subject: int,
-) -> InfluenceCurve:
-    """Hazard influence curves of one subject, all ordered state pairs.
+) -> dict[tuple[int, int], StepCurve]:
+    """Hazard influence curves of one subject, keyed by ordered state pair.
 
     For a pair ``(j, k)`` the curve cumulates the subject's own counting
     increments against the weighted average, both over the floored
@@ -149,16 +137,15 @@ def influence_zeta(
         for k, sk in enumerate(states):
             if j != k:
                 curves[(sj, sk)] = StepCurve(grid, cum[:, j, k], 0.0)
-    return InfluenceCurve(subject, curves)
+    return curves
 
 
 def influence_gamma(
     hazard: HazardEstimate,
     occupation: OccupationEstimate,
-    zeta_set: InfluenceCurve,
-    subject: int,
-) -> InfluenceCurve:
-    """Occupation influence of one subject from its hazard influences.
+    zeta_curves: dict[tuple[int, int], StepCurve],
+) -> dict[int, StepCurve]:
+    """Occupation influence of one subject, keyed by state, from its hazard influences.
 
     Propagates each hazard influence increment through the product
     integral: the increment matrix (diagonal set to the negative row
@@ -176,8 +163,7 @@ def influence_gamma(
     for j, sj in enumerate(states):
         for k, sk in enumerate(states):
             if j != k:
-                curve = zeta_set.curves[(sj, sk)]
-                dz[:, j, k] = np.diff(curve.values, prepend=0.0)
+                dz[:, j, k] = np.diff(zeta_curves[(sj, sk)].values, prepend=0.0)
     diag = np.arange(size)
     dz[:, diag, diag] = -dz.sum(axis=2)
 
@@ -192,10 +178,7 @@ def influence_gamma(
             gamma = gamma + gamma @ step + init @ prefix @ zstep
             prefix = prefix @ (eye + step)
         values[i] = gamma
-    curves = {
-        s: StepCurve(grid, values[:, i], 0.0) for i, s in enumerate(states)
-    }
-    return InfluenceCurve(subject, curves)
+    return {s: StepCurve(grid, values[:, i], 0.0) for i, s in enumerate(states)}
 
 
 def _gram(rows: np.ndarray, weights: np.ndarray, grid: np.ndarray) -> CovarianceSurface:

@@ -210,34 +210,6 @@ class EventTable:
         return table
 
 
-@dataclass(frozen=True)
-class EvalPoint:
-    """Covariate point at which conditional estimates are requested.
-
-    ``atom_flags[i]`` must be true exactly when ``coords[i]`` lies in the
-    declared atom set of dimension ``i``.
-    """
-
-    coords: tuple[float, ...]
-    atom_flags: tuple[bool, ...]
-
-    def __post_init__(self):
-        coords = tuple(float(c) for c in self.coords)
-        flags = tuple(bool(f) for f in self.atom_flags)
-        if len(coords) != len(flags):
-            raise ValueError("coords and atom_flags must have equal length")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "atom_flags", flags)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    @property
-    def d_continuous(self) -> int:
-        return sum(1 for f in self.atom_flags if not f)
-
-
 def counting_increments(path: ObservedPath) -> list[tuple[float, int, int]]:
     """Enumerate the jump increments of a path as ``(time, from, to)``.
 
@@ -300,7 +272,7 @@ def validate(sample: Sample, labels=None) -> list[str]:
     return problems
 
 
-def load_sample(path, schema: dict | None = None) -> Sample:
+def load_sample(path) -> Sample:
     """Read a long-format CSV into a :class:`Sample`.
 
     One row per observed state entry, grouped by subject and sorted by
@@ -308,30 +280,25 @@ def load_sample(path, schema: dict | None = None) -> Sample:
     covariate columns, and gives the initial state. The last row carries
     the ``end`` flag: 1 for censored, 0 for absorbed. A censored subject
     whose follow-up outlasts its final jump repeats the current state in
-    a terminal marker row at the censoring time.
+    a terminal marker row at the censoring time; every other row leaves
+    ``end`` empty. The covariate columns are ``x1, x2, ...``; the state
+    space is inferred from the data, its absorbing states being those
+    some subject is absorbed in.
 
     Parameters
     ----------
     path : str or pathlib.Path
         CSV file with a header row.
-    schema : dict, optional
-        Column-name overrides for ``id``, ``time``, ``state``, ``end``,
-        an explicit ``covariates`` column list, and optional ``states`` /
-        ``absorbing`` label declarations. By default covariate columns
-        are those named ``x1, x2, ...`` and the state space is inferred
-        from the data.
 
     Raises
     ------
     ParseError
         Malformed rows, non-finite times or covariates, duplicate
-        (id, time) pairs, missing columns.
+        (id, time) pairs, missing or repeated columns.
     ValidationError
         Parsed paths that violate the path invariants, each named by its
         subject id and the line of its time-0 row.
     """
-    schema = schema or {}
-    cols = {key: schema.get(key, key) for key in ("id", "time", "state", "end")}
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -339,24 +306,20 @@ def load_sample(path, schema: dict | None = None) -> Sample:
         except StopIteration:
             raise ParseError("empty file: missing header") from None
         header = [h.strip() for h in header]
-        position = {name: i for i, name in enumerate(header)}
-        for key in ("id", "time", "state"):
-            if cols[key] not in position:
-                raise ParseError(f"missing required column {cols[key]!r}")
-        if schema.get("covariates") is not None:
-            covar_cols = list(schema["covariates"])
-            for name in covar_cols:
-                if name not in position:
-                    raise ParseError(f"missing covariate column {name!r}")
-        else:
-            covar_cols = []
-            k = 1
-            while f"x{k}" in position:
-                covar_cols.append(f"x{k}")
-                k += 1
+        position = {}
+        for i, name in enumerate(header):
+            if name in position:
+                raise ParseError(f"duplicate column {name!r} in header")
+            position[name] = i
+        for name in ("id", "time", "state"):
+            if name not in position:
+                raise ParseError(f"missing required column {name!r}")
+        covar_cols = []
+        while f"x{len(covar_cols) + 1}" in position:
+            covar_cols.append(f"x{len(covar_cols) + 1}")
         if not covar_cols:
             raise ParseError("no covariate columns found (expected x1, x2, ...)")
-        end_col = position.get(cols["end"])
+        end_col = position.get("end")
 
         rows_by_id: dict[str, list[tuple[float, int, str, int, tuple[str, ...]]]] = {}
         order: list[str] = []
@@ -365,17 +328,17 @@ def load_sample(path, schema: dict | None = None) -> Sample:
                 continue
             if len(row) != len(header):
                 raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            sid = row[position[cols["id"]]].strip()
+            sid = row[position["id"]].strip()
             if not sid:
                 raise ParseError(f"line {lineno}: empty subject id")
-            raw_time = row[position[cols["time"]]]
+            raw_time = row[position["time"]]
             try:
                 time = float(raw_time)
             except ValueError:
                 raise ParseError(f"line {lineno}: unparsable time {raw_time!r}") from None
             if not math.isfinite(time):
                 raise ParseError(f"line {lineno}: non-finite time {raw_time!r}")
-            raw_state = row[position[cols["state"]]].strip()
+            raw_state = row[position["state"]].strip()
             try:
                 state = int(raw_state)
             except ValueError:
@@ -415,8 +378,8 @@ def load_sample(path, schema: dict | None = None) -> Sample:
             raise ValidationError(
                 f"id {sid!r}: terminal row needs end flag 0 or 1 (line {last_line})"
             )
-        for time, state, flag, lineno, _ in rows[1:-1]:
-            if flag not in ("", "0"):
+        for _, _, flag, lineno, _ in rows[:-1]:
+            if flag:
                 raise ValidationError(f"id {sid!r}: end flag on non-terminal row (line {lineno})")
         censored = last_flag == "1"
         jumps = []
@@ -440,17 +403,14 @@ def load_sample(path, schema: dict | None = None) -> Sample:
         )
         labels.append(f"id {sid!r} (line {first_line})")
 
-    if schema.get("states") is not None:
-        space = StateSpace(tuple(schema["states"]), frozenset(schema.get("absorbing") or ()))
-    else:
-        seen: set[int] = set()
-        terminal: set[int] = set()
-        for p in paths:
-            seen.add(p.initial_state)
-            seen.update(s for _, s in p.jumps)
-            if p.end_reason == ABSORBED:
-                terminal.add(p.final_state)
-        space = StateSpace(tuple(sorted(seen)), frozenset(terminal))
+    seen: set[int] = set()
+    terminal: set[int] = set()
+    for p in paths:
+        seen.add(p.initial_state)
+        seen.update(s for _, s in p.jumps)
+        if p.end_reason == ABSORBED:
+            terminal.add(p.final_state)
+    space = StateSpace(tuple(sorted(seen)), frozenset(terminal))
 
     sample = Sample(tuple(paths), space)
     problems = validate(sample, labels)

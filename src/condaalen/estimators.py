@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EvalPoint, Sample
+from .data import Sample
 from .kernels import (
     KernelSpec,
     NoKernelMass,
@@ -227,7 +227,7 @@ def aalen_johansen(hazard: HazardEstimate, initial) -> OccupationEstimate:
 class FitResult:
     """One full conditional fit at a single evaluation point."""
 
-    x: EvalPoint
+    x: tuple[float, ...]
     spec: KernelSpec
     bandwidth: float
     weights: WeightVector
@@ -254,10 +254,10 @@ def fit(
 ) -> FitResult:
     """Convenience pipeline: weights, hazard, occupation, horizon.
 
-    ``x`` may be an :class:`EvalPoint` or a coordinate sequence; ``spec``
-    defaults to an epanechnikov kernel in every dimension with no atoms.
-    An :class:`EvalPoint` whose atom flags disagree with ``spec``'s
-    declared atoms raises ``ValueError`` naming the dimension.
+    ``x`` is a coordinate sequence; a coordinate on one of ``spec``'s
+    declared atoms is matched exactly (see :meth:`KernelSpec.atom_flags`).
+    ``spec`` defaults to an epanechnikov kernel in every dimension with
+    no atoms.
     The default horizon is the largest censoring time carrying positive
     weight, falling back to the last event time. An explicit ``theta``
     must be a finite number >= 0, and ``epsilon`` a finite number > 0;
@@ -267,22 +267,14 @@ def fit(
         raise ValueError(f"theta must be a finite number >= 0, got {theta!r}")
     if spec is None:
         spec = KernelSpec.for_dims(sample.covariate_dim)
-    if isinstance(x, EvalPoint):
-        expected = spec.eval_point(x.coords).atom_flags
-        for dim, (flag, atom) in enumerate(zip(x.atom_flags, expected), start=1):
-            if flag != atom:
-                raise ValueError(
-                    f"atom flag of dimension {dim} is {flag}, but x={x.coords[dim - 1]!r} "
-                    f"{'is' if atom else 'is not'} a declared atom of that dimension"
-                )
-    else:
-        x = spec.eval_point(x)
-    a = bandwidth(len(sample), x.d_continuous, eta=eta, explicit=explicit_bandwidth)
+    x = spec.eval_point(x)
+    flags = spec.atom_flags(x)
+    a = bandwidth(len(sample), flags.count(False), eta=eta, explicit=explicit_bandwidth)
     weights = nw_weights(sample, x, spec, a)
     try:
         hazard = nelson_aalen(sample, weights, epsilon)
     except NoKernelMass:
-        raise NoKernelMass(f"no kernel mass at x={tuple(x.coords)}") from None
+        raise NoKernelMass(f"no kernel mass at x={x}") from None
     occupation = aalen_johansen(hazard, hazard.initial_exposure())
     if theta is None:
         tab = sample.table
@@ -291,7 +283,7 @@ def fit(
             theta = censor_times.max()
         else:
             theta = float(hazard.times[-1]) if hazard.times.size else 0.0
-    phi = phi_estimate(spec, weights.density_value, x.atom_flags)
+    phi = phi_estimate(spec, weights.density_value, flags)
     return FitResult(
         x=x,
         spec=spec,

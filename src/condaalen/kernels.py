@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EvalPoint, Sample
+from .data import Sample
 
 _KERNELS = ("epanechnikov", "triangular", "uniform")
 
@@ -36,8 +36,8 @@ class KernelSpec:
         Kernel id per covariate dimension, each one of ``epanechnikov``,
         ``triangular``, ``uniform``.
     atoms : tuple of tuple of float
-        Declared atoms of each marginal covariate distribution; empty
-        tuples for purely continuous coordinates.
+        Declared atoms of each marginal covariate distribution, finite
+        numbers; empty tuples for purely continuous coordinates.
     """
 
     kernels: tuple[str, ...]
@@ -54,6 +54,8 @@ class KernelSpec:
         atoms = tuple(tuple(float(v) for v in a) for a in atoms)
         if len(atoms) != len(kernels):
             raise ValueError("atoms must declare one set per dimension")
+        if not all(math.isfinite(v) for a in atoms for v in a):
+            raise ValueError(f"atoms must be finite numbers, got {atoms!r}")
         object.__setattr__(self, "kernels", kernels)
         object.__setattr__(self, "atoms", atoms)
 
@@ -66,13 +68,16 @@ class KernelSpec:
         """Spec with one kernel id shared across ``dim`` dimensions."""
         return cls((kernel,) * dim, atoms)
 
-    def eval_point(self, coords) -> EvalPoint:
-        """Build an :class:`EvalPoint` whose atom flags match this spec."""
+    def eval_point(self, coords) -> tuple[float, ...]:
+        """An evaluation point: ``coords`` as floats, one per dimension."""
         coords = tuple(float(c) for c in coords)
         if len(coords) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
-        flags = tuple(c in a for c, a in zip(coords, self.atoms))
-        return EvalPoint(coords, flags)
+        return coords
+
+    def atom_flags(self, coords) -> tuple[bool, ...]:
+        """Per dimension, whether ``coords`` sits on one of its declared atoms."""
+        return tuple(c in a for c, a in zip(coords, self.atoms))
 
 
 def kernel_eval(kernel: str, u) -> np.ndarray | float:
@@ -140,21 +145,24 @@ class WeightVector:
     """Normalized conditioning weights for one evaluation point.
 
     ``density_value`` is the kernel density estimate at the point. When
-    it vanishes no path carries kernel mass, ``degenerate`` is set, and
-    all weights are zero; estimators at this point are undefined and the
+    it vanishes no path carries kernel mass and all weights are zero, so
+    ``degenerate`` holds; estimators at this point are undefined and the
     caller decides how to react.
     """
 
     weights: np.ndarray
     density_value: float
-    degenerate: bool
 
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
+    @property
+    def degenerate(self) -> bool:
+        return not self.weights.any()
 
-def nw_weights(sample: Sample, x: EvalPoint, spec: KernelSpec, a: float) -> WeightVector:
-    """Kernel conditioning weights at ``x`` with bandwidth ``a``.
+
+def nw_weights(sample: Sample, x, spec: KernelSpec, a: float) -> WeightVector:
+    """Kernel conditioning weights at the coordinates ``x`` with bandwidth ``a``.
 
     Each path contributes the product over dimensions of a scaled kernel
     factor for non-atomic coordinates of ``x`` and an exact-match
@@ -164,14 +172,14 @@ def nw_weights(sample: Sample, x: EvalPoint, spec: KernelSpec, a: float) -> Weig
     """
     if not 0.0 < a < math.inf:
         raise ValueError(f"bandwidth must be a finite number > 0, got {a!r}")
-    if x.dim != spec.dim:
-        raise ValueError(f"evaluation point has {x.dim} coordinates, spec has {spec.dim}")
+    if len(x) != spec.dim:
+        raise ValueError(f"evaluation point has {len(x)} coordinates, spec has {spec.dim}")
     if len(sample) == 0:
         raise ValueError("empty sample")
     if sample.covariate_dim != spec.dim:
         raise ValueError("sample covariate dimension does not match spec")
     factors = np.ones(len(sample))
-    for i, (xi, atom_set) in enumerate(zip(x.coords, spec.atoms)):
+    for i, (xi, atom_set) in enumerate(zip(x, spec.atoms)):
         col = sample.table.covariates[:, i]
         if xi in atom_set:
             factors *= col == xi
@@ -180,8 +188,8 @@ def nw_weights(sample: Sample, x: EvalPoint, spec: KernelSpec, a: float) -> Weig
             factors *= np.where(np.isin(col, atom_set), 0.0, contrib)
     total = float(factors.sum())
     if total <= 0.0:
-        return WeightVector(np.zeros(len(sample)), 0.0, True)
-    return WeightVector(factors / total, total / len(sample), False)
+        return WeightVector(np.zeros(len(sample)), 0.0)
+    return WeightVector(factors / total, total / len(sample))
 
 
 def phi_estimate(spec: KernelSpec, density_value: float, atom_flags=None) -> float:

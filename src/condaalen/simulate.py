@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.integrate import solve_ivp
 
-from .data import ABSORBED, CENSORED, EvalPoint, ObservedPath, Sample, StateSpace
+from .data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace
 from .estimators import HazardEstimate, OccupationEstimate
 from .kernels import KernelSpec, NoKernelMass, kernel_eval
 from .stepfun import StepCurve, StepMatrix
@@ -165,13 +165,6 @@ class IntensitySpec:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.initial_state in self.state_space.absorbing:
             raise ValueError("initial state must not be absorbing")
-
-
-@dataclass(frozen=True)
-class CensoringSpec:
-    """Right-censoring law; ``law`` draws a positive time given x."""
-
-    law: callable
 
 
 @dataclass(frozen=True)
@@ -316,13 +309,16 @@ def _words(value) -> list[int]:
     return words
 
 
-def simulate_path(intensity: IntensitySpec, censoring: CensoringSpec, seed, index: int) -> ObservedPath:
-    """Simulate one subject with the RNG streams ``[seed, index, 0]`` and ``[seed, index, 1]``."""
+def simulate_path(intensity: IntensitySpec, censoring, seed, index: int) -> ObservedPath:
+    """Simulate one subject with the RNG streams ``[seed, index, 0]`` and ``[seed, index, 1]``.
+
+    ``censoring(rng, x)`` draws the subject's positive censoring time.
+    """
     key = _words(seed) + _words(index)
     rng_jump = np.random.default_rng(np.array(key + [0], dtype=np.uint32))
     rng_cens = np.random.default_rng(np.array(key + [1], dtype=np.uint32))
     x = tuple(float(v) for v in np.atleast_1d(intensity.covariate_law(rng_jump)))
-    censor_time = float(censoring.law(rng_cens, x))
+    censor_time = float(censoring(rng_cens, x))
     if not censor_time > 0:
         raise ValueError(f"censoring law produced non-positive time {censor_time}")
     if intensity.time_constant:
@@ -339,7 +335,7 @@ def simulate_path(intensity: IntensitySpec, censoring: CensoringSpec, seed, inde
 
 
 def simulate_sample(
-    intensity: IntensitySpec, censoring: CensoringSpec, n: int, seed
+    intensity: IntensitySpec, censoring, n: int, seed
 ) -> Sample:
     """Simulate ``n`` independent subjects, deterministic given ``seed``."""
     if n < 1:
@@ -406,9 +402,9 @@ def markov_occupation_oracle(intensity: IntensitySpec, x, grid) -> OraclePath:
 
 
 def brute_force_estimator(
-    sample: Sample, x: EvalPoint, spec: KernelSpec, a: float, epsilon: float
+    sample: Sample, x, spec: KernelSpec, a: float, epsilon: float
 ) -> tuple[HazardEstimate, OccupationEstimate]:
-    """Literal re-derivation of the full estimator stack, for testing.
+    """Literal re-derivation of the full estimator stack at ``x``, for testing.
 
     Every quantity is recomputed from its defining formula with plain
     loops: weights dimension by dimension, counts and exposure by
@@ -424,8 +420,8 @@ def brute_force_estimator(
     factors = []
     for p in sample.paths:
         f = 1.0
-        for i in range(len(x.coords)):
-            xi = x.coords[i]
+        for i in range(len(x)):
+            xi = x[i]
             xl = p.covariates[i]
             if xi in spec.atoms[i]:
                 f *= 1.0 if xl == xi else 0.0
@@ -437,7 +433,7 @@ def brute_force_estimator(
         factors.append(f)
     total = sum(factors)
     if total <= 0:
-        raise NoKernelMass(f"no kernel mass at x={tuple(x.coords)}")
+        raise NoKernelMass(f"no kernel mass at x={tuple(x)}")
     w = [f / total for f in factors]
 
     times = set()
@@ -642,7 +638,8 @@ def load_scenario(source) -> dict:
     """Parse a scenario JSON file or mapping.
 
     Returns a dict with keys ``intensity``, ``censoring``, ``n`` and
-    ``seed`` ready for :func:`simulate_sample`.
+    ``seed`` ready for :func:`simulate_sample`; ``censoring(rng, x)``
+    draws a censoring time.
     """
     if isinstance(source, dict):
         raw = source
@@ -662,7 +659,7 @@ def load_scenario(source) -> dict:
         n = int(raw["n"])
         seed = int(raw["seed"])
         covariate_law = _covariate_sampler(laws)
-        censoring = CensoringSpec(law=_censoring_sampler(censoring_law, dim))
+        censoring = _censoring_sampler(censoring_law, dim)
     except KeyError as err:
         raise ValueError(f"scenario missing field {err.args[0]!r}") from None
 

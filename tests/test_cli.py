@@ -385,10 +385,14 @@ SIM = ["simulate", "--scenario", "{scenario}", "--out", "{out}"]
         (FIT + ["--x", "0.5", "--epsilon", "abc"], "--epsilon"),
         (["fit", "--out", "{out}", "--x", "0.5"], "--input"),
         (["frobnicate", "--out", "{out}"], "frobnicate"),
+        (FIT + ["--x", "0.5", "--atoms", "1:nan"], "--atoms"),
+        (COV + ["--x", "0.5", "--atoms", "1:0.2,inf"], "--atoms"),
+        (FIT + ["--x", "0.5", "--atoms", "1:0.5", "--atoms", "1:0.7"], "--atoms"),
     ],
     ids=[
         "theta-inf", "theta-nan", "grid-0", "grid-negative", "n-negative", "n-0",
         "x-nan", "epsilon-abc", "missing-input", "unknown-subcommand",
+        "atoms-nan", "atoms-inf", "atoms-repeated-dimension",
     ],
 )
 def test_cli_rejects_bad_arguments(workspace, tmp_path, capsys, argv, flag):

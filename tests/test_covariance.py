@@ -32,7 +32,7 @@ def test_single_subject_influence_vanishes():
     sample = Sample((p,), space)
     r = fit(sample, (0.3,), explicit_bandwidth=1.0)
     zeta = influence_zeta(sample, r.hazard, r.phi, 0)
-    for curve in zeta.curves.values():
+    for curve in zeta.values():
         np.testing.assert_array_equal(curve.values, 0.0)
 
 
@@ -44,17 +44,17 @@ def test_never_exposed_subject_influence_vanishes():
     sample = Sample((a, b, c), space)
     r = fit(sample, (0.5,), epsilon=1e-6)
     zeta = influence_zeta(sample, r.hazard, r.phi, 2)
-    np.testing.assert_allclose(zeta.curves[(1, 2)].values, 0.0, atol=1e-15)
-    np.testing.assert_allclose(zeta.curves[(1, 3)].values, 0.0, atol=1e-15)
+    np.testing.assert_allclose(zeta[(1, 2)].values, 0.0, atol=1e-15)
+    np.testing.assert_allclose(zeta[(1, 3)].values, 0.0, atol=1e-15)
 
 
 def test_two_path_zeta_hand_values():
     sample, r = _two_path_fit()
     za = influence_zeta(sample, r.hazard, 1.0, 0)
     zb = influence_zeta(sample, r.hazard, 1.0, 1)
-    np.testing.assert_allclose(za.curves[(1, 2)].values, [0.5, 0.5], atol=1e-12)
-    np.testing.assert_allclose(zb.curves[(1, 2)].values, [-0.5, -0.5], atol=1e-12)
-    np.testing.assert_allclose(za.curves[(2, 1)].values, 0.0, atol=1e-15)
+    np.testing.assert_allclose(za[(1, 2)].values, [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(zb[(1, 2)].values, [-0.5, -0.5], atol=1e-12)
+    np.testing.assert_allclose(za[(2, 1)].values, 0.0, atol=1e-15)
 
 
 def test_zeta_scales_with_sqrt_phi():
@@ -62,7 +62,7 @@ def test_zeta_scales_with_sqrt_phi():
     one = influence_zeta(sample, r.hazard, 1.0, 0)
     four = influence_zeta(sample, r.hazard, 4.0, 0)
     np.testing.assert_allclose(
-        four.curves[(1, 2)].values, 2.0 * one.curves[(1, 2)].values, atol=1e-15
+        four[(1, 2)].values, 2.0 * one[(1, 2)].values, atol=1e-15
     )
 
 
@@ -70,12 +70,12 @@ def test_two_path_gamma_hand_values():
     sample, r = _two_path_fit()
     za = influence_zeta(sample, r.hazard, 1.0, 0)
     zb = influence_zeta(sample, r.hazard, 1.0, 1)
-    ga = influence_gamma(r.hazard, r.occupation, za, 0)
-    gb = influence_gamma(r.hazard, r.occupation, zb, 1)
-    np.testing.assert_allclose(ga.curves[1].values, [-0.5, -0.5], atol=1e-12)
-    np.testing.assert_allclose(ga.curves[2].values, [0.5, 0.5], atol=1e-12)
-    np.testing.assert_allclose(gb.curves[1].values, [0.5, 0.5], atol=1e-12)
-    np.testing.assert_allclose(gb.curves[2].values, [-0.5, -0.5], atol=1e-12)
+    ga = influence_gamma(r.hazard, r.occupation, za)
+    gb = influence_gamma(r.hazard, r.occupation, zb)
+    np.testing.assert_allclose(ga[1].values, [-0.5, -0.5], atol=1e-12)
+    np.testing.assert_allclose(ga[2].values, [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(gb[1].values, [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(gb[2].values, [-0.5, -0.5], atol=1e-12)
 
 
 def test_two_path_surfaces_hand_values():
@@ -121,7 +121,7 @@ def test_zeta_matches_literal_formula(sim_sample):
                         acc -= (exposed - left) / left * d_haz[i, a, b]
                     expect[i] = np.sqrt(r.phi) * acc
                 np.testing.assert_allclose(
-                    zeta.curves[(sa, sb)].values, expect, atol=1e-12
+                    zeta[(sa, sb)].values, expect, atol=1e-12
                 )
 
 
@@ -158,14 +158,13 @@ def test_gamma_with_zero_hazard_accumulates_zeta():
         states=states,
     )
     occupation = OccupationEstimate(grid, np.array([[0.3, 0.7], [0.3, 0.7]]), [0.3, 0.7], states)
-    zeta = type("Z", (), {})()
-    zeta.curves = {
+    zeta = {
         (1, 2): StepCurve(grid, [1.0, 3.0], 0.0),
         (2, 1): StepCurve(grid, [2.0, 2.0], 0.0),
     }
-    gamma = influence_gamma(hazard, occupation, zeta, 0)
-    np.testing.assert_allclose(gamma.curves[1].values, [1.1, 0.5], atol=1e-12)
-    np.testing.assert_allclose(gamma.curves[2].values, [-1.1, -0.5], atol=1e-12)
+    gamma = influence_gamma(hazard, occupation, zeta)
+    np.testing.assert_allclose(gamma[1].values, [1.1, 0.5], atol=1e-12)
+    np.testing.assert_allclose(gamma[2].values, [-1.1, -0.5], atol=1e-12)
 
 
 def test_vectorized_zeta_matches_per_subject(sim_sample):
@@ -180,7 +179,7 @@ def test_vectorized_zeta_matches_per_subject(sim_sample):
     for pair in [(a, b) for a in states for b in states if a != b]:
         block = zeta_values(sim_sample, h, r.phi, pair, eval_times)
         for subject in range(0, len(sim_sample), 13):
-            curve = influence_zeta(sim_sample, h, r.phi, subject).curves[pair]
+            curve = influence_zeta(sim_sample, h, r.phi, subject)[pair]
             np.testing.assert_allclose(block[subject], curve(eval_times), atol=1e-12)
 
 
@@ -196,7 +195,7 @@ def test_vectorized_gamma_matches_per_subject(sim_sample):
     assert block.shape == (len(sim_sample), eval_times.size, len(h.states))
     for subject in range(0, len(sim_sample), 13):
         zeta = influence_zeta(sim_sample, h, r.phi, subject)
-        curves = influence_gamma(h, r.occupation, zeta, subject).curves
+        curves = influence_gamma(h, r.occupation, zeta)
         for i, s in enumerate(h.states):
             np.testing.assert_allclose(block[subject, :, i], curves[s](eval_times), atol=1e-12)
 
@@ -204,7 +203,7 @@ def test_vectorized_gamma_matches_per_subject(sim_sample):
 def test_gram_rank_one():
     grid = np.array([1.0])
     curves = [StepCurve(grid, [2.0], 0.0), StepCurve(grid, [0.0], 0.0)]
-    w = WeightVector([0.5, 0.5], 1.0, False)
+    w = WeightVector([0.5, 0.5], 1.0)
     surf = _gram(np.array([curve(grid) for curve in curves]), w.weights, grid)
     np.testing.assert_allclose(surf.values, [[2.0]])
 
@@ -212,7 +211,7 @@ def test_gram_rank_one():
 def test_gram_zero_rows():
     grid = np.array([1.0, 2.0])
     curves = [StepCurve(grid, [0.0, 0.0], 0.0) for _ in range(3)]
-    w = WeightVector([0.2, 0.3, 0.5], 1.0, False)
+    w = WeightVector([0.2, 0.3, 0.5], 1.0)
     surf = _gram(np.array([curve(grid) for curve in curves]), w.weights, grid)
     np.testing.assert_array_equal(surf.values, np.zeros((2, 2)))
 

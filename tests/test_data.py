@@ -106,6 +106,33 @@ a,1.0,2,,
         load_sample(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        # an absorbed-looking flag mid-path: it would load as a censored
+        # path that jumps on out of state 3
+        (["a,0,1,,0.3", "a,1,3,0,", "a,2,2,1,"], 3),
+        (["a,0,1,0,0.3", "a,1,2,0,"], 2),
+        (["a,0,1,,0.3", "a,1,2,1,", "a,2,3,0,"], 3),
+    ],
+    ids=["zero-mid-path", "zero-on-time-0-row", "one-mid-path"],
+)
+def test_end_flag_on_non_terminal_row_rejected(tmp_path, rows, line):
+    text = "id,time,state,end,x1\n" + "\n".join(rows) + "\n"
+    message = rf"^id 'a': end flag on non-terminal row \(line {line}\)$"
+    with pytest.raises(ValidationError, match=message):
+        load_sample(_write(tmp_path, text))
+
+
+def test_duplicate_column_rejected(tmp_path):
+    text = """id,time,state,end,x1,x1
+a,0,1,,0.3,0.9
+a,1.0,2,0,,
+"""
+    with pytest.raises(ParseError, match=r"^duplicate column 'x1' in header$"):
+        load_sample(_write(tmp_path, text))
+
+
 def test_repeated_state_outside_marker(tmp_path):
     text = """id,time,state,end,x1
 a,0,1,,0.3
@@ -123,32 +150,6 @@ a,1.0,2,0
 """
     with pytest.raises(ParseError, match="covariate"):
         load_sample(_write(tmp_path, text))
-
-
-def test_schema_overrides(tmp_path):
-    text = """subj,t,st,stop,age
-a,0,1,,44
-a,1.0,2,0,
-"""
-    s = load_sample(
-        _write(tmp_path, text),
-        schema={"id": "subj", "time": "t", "state": "st", "end": "stop", "covariates": ["age"]},
-    )
-    assert s.paths[0].covariates == (44.0,)
-
-
-def test_schema_state_declaration(tmp_path):
-    s = load_sample(
-        _write(tmp_path, BASIC),
-        schema={"states": [1, 2, 3, 4], "absorbing": [3, 4]},
-    )
-    assert s.state_space.states == (1, 2, 3, 4)
-    assert s.state_space.absorbing == frozenset({3, 4})
-
-
-def test_schema_state_declaration_rejects_unknown(tmp_path):
-    with pytest.raises(ValidationError, match="unknown state"):
-        load_sample(_write(tmp_path, BASIC), schema={"states": [1, 2], "absorbing": []})
 
 
 def test_round_trip_bit_exact(tmp_path, sim_sample):
@@ -233,8 +234,9 @@ def test_validate_names_subjects_by_label(tmp_path):
     with pytest.raises(ValueError):
         validate(sample, labels[:1])
     # load_sample labels each subject by its id and the line of its time-0 row
-    with pytest.raises(ValidationError, match=r"; id 'b' \(line 5\): unknown state label 2;"):
-        load_sample(_write(tmp_path, BASIC), schema={"states": [1, 3], "absorbing": [3]})
+    text = BASIC.replace("b,0.9,2,,", "b,0.9,3,,")  # b leaves the absorbing state 3
+    with pytest.raises(ValidationError, match=r"^id 'b' \(line 5\): jump out of absorbing state 3"):
+        load_sample(_write(tmp_path, text))
 
 
 def test_state_space_validation():

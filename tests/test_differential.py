@@ -116,7 +116,7 @@ def test_zeta_values_match_influence_zeta(case):
     pairs = [(a, b) for a in states for b in states if a != b]
     blocks = {pair: zeta_values(sample, r.hazard, r.phi, pair, eval_times) for pair in pairs}
     for subject in range(len(sample)):
-        curves = influence_zeta(sample, r.hazard, r.phi, subject).curves
+        curves = influence_zeta(sample, r.hazard, r.phi, subject)
         for pair in pairs:
             np.testing.assert_allclose(blocks[pair][subject], curves[pair](eval_times), **CLOSE)
 
@@ -132,7 +132,7 @@ def test_occupation_covariance_matches_per_subject_gram(case):
     rows = np.empty((len(sample), grid.size, len(states)))
     for subject in range(len(sample)):
         zeta = influence_zeta(sample, r.hazard, r.phi, subject)
-        curves = influence_gamma(r.hazard, r.occupation, zeta, subject).curves
+        curves = influence_gamma(r.hazard, r.occupation, zeta)
         for i, s in enumerate(states):
             rows[subject, :, i] = curves[s](grid)
     w = r.weights.weights
@@ -343,8 +343,8 @@ def _literal_fit_json(result, n, path):
     hazard = result.hazard.hazard.values
     counts = result.hazard.counts.values
     body = {
-        "x": list(result.x.coords),
-        "atom_flags": list(result.x.atom_flags),
+        "x": list(result.x),
+        "atom_flags": list(result.spec.atom_flags(result.x)),
         "kernel": list(result.spec.kernels),
         "atoms": [list(a) for a in result.spec.atoms],
         "n": n,

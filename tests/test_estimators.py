@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from condaalen.data import ABSORBED, CENSORED, EvalPoint, ObservedPath, Sample, StateSpace
+from condaalen.data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace
 from condaalen.estimators import (
     HazardEstimate,
     aalen_johansen,
@@ -20,7 +20,6 @@ from condaalen.kernels import (
     bandwidth,
     nw_weights,
 )
-from condaalen.simulate import default_scenario, simulate_sample
 from condaalen.stepfun import StepMatrix
 
 
@@ -48,7 +47,7 @@ def test_event_grid_contents():
 
 
 def _half_weights():
-    return WeightVector([0.5, 0.5], 1.0, False)
+    return WeightVector([0.5, 0.5], 1.0)
 
 
 def test_counts_two_paths():
@@ -194,31 +193,6 @@ def test_fit_rejects_bad_explicit_bandwidth(value, shown):
     assert not isinstance(info.value, NoKernelMass)
     with pytest.raises(ValueError, match=message):
         bandwidth(2, explicit=value)
-
-
-@pytest.fixture(scope="module")
-def default_400():
-    sc = default_scenario(n=400, seed=1)
-    return simulate_sample(sc["intensity"], sc["censoring"], 400, 1)
-
-
-def test_fit_rejects_atom_flag_not_declared_in_spec(default_400):
-    # a flag the spec does not declare would put the bandwidth at the
-    # d_continuous = 0 sentinel while the weights still smooth
-    spec = KernelSpec.for_dims(1)
-    with pytest.raises(ValueError, match="dimension 1 is True, but x=0.5 is not") as info:
-        fit(default_400, EvalPoint((0.5,), (True,)), spec)
-    assert not isinstance(info.value, NoKernelMass)
-    assert fit(default_400, spec.eval_point((0.5,)), spec).bandwidth != 1.0
-
-
-def test_fit_rejects_declared_atom_flagged_continuous(default_400):
-    # the weights follow the spec and match x=0.5 exactly, which no subject
-    # does, so the flag would surface as a false "no kernel mass"
-    spec = KernelSpec.for_dims(1, atoms=((0.5,),))
-    with pytest.raises(ValueError, match="dimension 1 is False, but x=0.5 is a declared") as info:
-        fit(default_400, EvalPoint((0.5,), (False,)), spec)
-    assert not isinstance(info.value, NoKernelMass)
 
 
 def test_product_integral_empty_interval_is_identity():

@@ -120,7 +120,7 @@ def test_weights_atomic_dimension():
     spec = KernelSpec.for_dims(1, atoms=((1.0,),))
     s = _sample([1.0, 1.0, 1.0, 0.7])
     x = spec.eval_point((1.0,))
-    assert x.atom_flags == (True,)
+    assert spec.atom_flags(x) == (True,)
     w = nw_weights(s, x, spec, 0.5)
     np.testing.assert_allclose(w.weights, [1 / 3, 1 / 3, 1 / 3, 0.0])
     assert w.density_value == 0.75
@@ -230,5 +230,7 @@ def test_kernel_spec_validation():
         KernelSpec.for_dims(1, kernel="gaussian")
     with pytest.raises(ValueError):
         KernelSpec(("epanechnikov",), ((), ()))
+    with pytest.raises(ValueError, match="atoms must be finite"):
+        KernelSpec.for_dims(2, atoms=((0.0,), (1.0, float("nan"))))
     spec = KernelSpec.for_dims(2, atoms=((0.0,), ()))
-    assert spec.eval_point((0.0, 0.3)).atom_flags == (True, False)
+    assert spec.atom_flags(spec.eval_point((0.0, 0.3))) == (True, False)

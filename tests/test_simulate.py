@@ -10,7 +10,6 @@ from condaalen.kernels import KernelSpec
 from condaalen.simulate import (
     MARKOV,
     SEMI_MARKOV,
-    CensoringSpec,
     ExpressionError,
     IntensitySpec,
     brute_force_estimator,
@@ -102,8 +101,8 @@ def test_censoring_independent_of_first_jump_given_covariate():
         initial_state=1,
         time_constant=True,
     )
-    real = CensoringSpec(law=lambda rng, x: rng.exponential(2.0 / (1.0 + x[0])))
-    far = CensoringSpec(law=lambda rng, x: 8.0)
+    real = lambda rng, x: rng.exponential(2.0 / (1.0 + x[0]))
+    far = lambda rng, x: 8.0
     n, seed = 1200, 99
     with_r = simulate_sample(intensity, real, n, seed)
     free = simulate_sample(intensity, far, n, seed)
@@ -313,7 +312,7 @@ def test_intensity_spec_rejects_absorbing_start():
 
 def test_censoring_must_be_positive():
     sc = load_scenario(_scenario_dict())
-    bad = CensoringSpec(law=lambda rng, x: 0.0)
+    bad = lambda rng, x: 0.0
     with pytest.raises(ValueError, match="non-positive"):
         simulate_path(sc["intensity"], bad, 1, 0)
 
@@ -431,7 +430,7 @@ def test_nan_rate_rejected_from_any_intensity():
         initial_state=1,
         time_constant=True,
     )
-    censoring = CensoringSpec(law=lambda rng, x: 1.0)
+    censoring = lambda rng, x: 1.0
     with pytest.raises(ValueError, match=r"non-finite rate nan for 1->2 at t=0\.0"):
         simulate_path(intensity, censoring, 1, 0)
 

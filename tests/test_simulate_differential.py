@@ -24,7 +24,6 @@ from condaalen.simulate import (
     _ALLOWED_FUNCS,
     MARKOV,
     SEMI_MARKOV,
-    CensoringSpec,
     IntensitySpec,
     _choice_cdf,
     _choose,
@@ -102,7 +101,7 @@ def _literal_scenario(raw: dict):
         time_constant=fast.time_constant,
         thinning_window=float(raw.get("thinning_window", 0.25)),
     )
-    return intensity, CensoringSpec(law=censor)
+    return intensity, censor
 
 
 def _literal_rate(intensity, j, k, t, duration, x):
@@ -180,7 +179,7 @@ def _literal_path(intensity, censoring, seed, index):
     rng_jump = np.random.default_rng([seed, index, 0])
     rng_cens = np.random.default_rng([seed, index, 1])
     x = tuple(float(v) for v in np.atleast_1d(intensity.covariate_law(rng_jump)))
-    censor_time = float(censoring.law(rng_cens, x))
+    censor_time = float(censoring(rng_cens, x))
     sampler = _literal_constant if intensity.time_constant else _literal_thinning
     jumps, absorbed, end = sampler(intensity, x, censor_time, rng_jump)
     return ObservedPath(
