@@ -1,13 +1,17 @@
 """Acceptance checks runnable from the CLI and from the test suite.
 
-Each check returns (passed, detail) and pins its own tolerances. The
-comparison targets are recomputed here from first principles with plain
-loops, independent of the estimator code paths they exercise.
+Each check takes no arguments and returns (passed, detail). It pins its
+own scenario, sample size, seed and tolerances, so the suite always runs
+on the same built-in fixtures. The comparison targets are recomputed
+here from first principles with plain loops, independent of the
+estimator code paths they exercise.
 """
 
 from __future__ import annotations
 
+import contextlib
 import filecmp
+import io
 import json
 import os
 import tempfile
@@ -46,19 +50,9 @@ class CheckResult:
     skipped: bool = False
 
 
-def _scenario(scenario_path, n: int, seed: int) -> dict:
-    """Default scenario, or a user override re-targeted to (n, seed)."""
-    if scenario_path is None:
-        return default_scenario(n=n, seed=seed)
-    loaded = load_scenario(scenario_path)
-    loaded["n"] = n
-    loaded["seed"] = seed
-    return loaded
-
-
-def check_conservation(scenario_path=None) -> tuple[bool, str]:
+def check_conservation() -> tuple[bool, str]:
     """Occupation mass is conserved at every event time, 1e-12."""
-    sc = _scenario(scenario_path, n=500, seed=11)
+    sc = default_scenario(n=500, seed=11)
     sample = simulate_sample(sc["intensity"], sc["censoring"], sc["n"], sc["seed"])
     worst = 0.0
     for coord in (0.25, 0.5, 0.75):
@@ -88,13 +82,13 @@ def _direct_exposure(sample, weights, t: float, left: bool) -> dict[int, float]:
     return vals
 
 
-def check_exposure_identity(scenario_path=None) -> tuple[bool, str]:
+def check_exposure_identity() -> tuple[bool, str]:
     """Flow-decomposition exposure equals direct indicator sums, 1e-12."""
     worst = 0.0
     checked = 0
     for rep in range(100):
         n = 2 + rep % 9
-        sc = _scenario(scenario_path, n=n, seed=40_000 + rep)
+        sc = default_scenario(n=n, seed=40_000 + rep)
         sample = simulate_sample(sc["intensity"], sc["censoring"], sc["n"], sc["seed"])
         coord = 0.2 + 0.006 * rep
         try:
@@ -113,7 +107,7 @@ def check_exposure_identity(scenario_path=None) -> tuple[bool, str]:
     return ok, f"{checked}/100 samples, max abs diff = {worst:.3e}"
 
 
-def check_beran_reduction(scenario_path=None) -> tuple[bool, str]:
+def check_beran_reduction() -> tuple[bool, str]:
     """Two-state occupation equals the weighted product-limit, 1e-12."""
     sc = load_scenario(
         {
@@ -152,7 +146,7 @@ def check_beran_reduction(scenario_path=None) -> tuple[bool, str]:
     return worst <= 1e-12, f"max |p1 - product-limit| = {worst:.3e}"
 
 
-def check_landmark_reduction(scenario_path=None) -> tuple[bool, str]:
+def check_landmark_reduction() -> tuple[bool, str]:
     """Fit at an atom equals the unconditional estimator on the subsample."""
     sc = load_scenario(
         {
@@ -218,9 +212,9 @@ def check_landmark_reduction(scenario_path=None) -> tuple[bool, str]:
     return worst <= 1e-12, f"subsample size {msub}, max abs diff = {worst:.3e}"
 
 
-def check_consistency(scenario_path=None) -> tuple[bool, str]:
+def check_consistency() -> tuple[bool, str]:
     """Median sup-error against the forward-equation oracle shrinks with n."""
-    sc = _scenario(scenario_path, n=250, seed=0)
+    sc = default_scenario(n=250, seed=0)
     intensity = sc["intensity"]
     censoring = sc["censoring"]
     theta = 2.0
@@ -233,9 +227,9 @@ def check_consistency(scenario_path=None) -> tuple[bool, str]:
             sample = simulate_sample(intensity, censoring, n, 7_000 + 100 * block + rep)
             res = fit(sample, (0.5,), epsilon=1e-4, theta=theta)
             sup = 0.0
-            for i, s in enumerate(oracle.states):
+            for i, s in enumerate(intensity.state_space.states):
                 est = res.occupation.curve(s)(dense)
-                sup = max(sup, float(np.max(np.abs(est - oracle.values[:, i]))))
+                sup = max(sup, float(np.max(np.abs(est - oracle[:, i]))))
             errs.append(sup)
         medians.append(float(np.median(errs)))
     decreasing = medians[0] > medians[1] > medians[2]
@@ -244,7 +238,7 @@ def check_consistency(scenario_path=None) -> tuple[bool, str]:
     return ok, detail
 
 
-def check_product_integral_order(scenario_path=None) -> tuple[bool, str]:
+def check_product_integral_order() -> tuple[bool, str]:
     """First-order convergence of the product integral to the matrix exponential."""
     q = np.array([[-0.9, 0.6, 0.3], [0.2, -0.7, 0.5], [0.0, 0.0, 0.0]])
     horizon = 1.0
@@ -262,9 +256,9 @@ def check_product_integral_order(scenario_path=None) -> tuple[bool, str]:
     return ok, f"errors {errors[0]:.2e}, {errors[1]:.2e}, ratio {ratio:.1f}"
 
 
-def check_covariance_sanity(scenario_path=None) -> tuple[bool, str]:
+def check_covariance_sanity() -> tuple[bool, str]:
     """Plug-in hazard variance tracks the Monte Carlo variance within 2x."""
-    sc = _scenario(scenario_path, n=1000, seed=0)
+    sc = default_scenario(n=1000, seed=0)
     intensity = sc["intensity"]
     censoring = sc["censoring"]
     n = 1000
@@ -286,9 +280,9 @@ def check_covariance_sanity(scenario_path=None) -> tuple[bool, str]:
     return ok, f"scaled MC var / median plug-in = {ratio:.3f}"
 
 
-def check_surface_shape(scenario_path=None) -> tuple[bool, str]:
+def check_surface_shape() -> tuple[bool, str]:
     """Covariance surfaces are symmetric and positive semidefinite."""
-    sc = _scenario(scenario_path, n=80, seed=21)
+    sc = default_scenario(n=80, seed=21)
     sample = simulate_sample(sc["intensity"], sc["censoring"], sc["n"], sc["seed"])
     res = fit(sample, (0.5,))
     grid = default_surface_grid(res.hazard.times, 25)
@@ -321,7 +315,7 @@ def _floor_sample() -> Sample:
     return Sample(paths, space)
 
 
-def check_floor_behavior(scenario_path=None) -> tuple[bool, str]:
+def check_floor_behavior() -> tuple[bool, str]:
     """Floored increments and floor flags match the brute-force oracle."""
     sample = _floor_sample()
     epsilon = 0.3
@@ -359,31 +353,29 @@ def check_floor_behavior(scenario_path=None) -> tuple[bool, str]:
     return ok, detail
 
 
-def check_determinism(scenario_path=None) -> tuple[bool, str]:
+def check_determinism() -> tuple[bool, str]:
     """Identical fit invocations produce byte-identical outputs."""
     from .cli import main
 
     with tempfile.TemporaryDirectory() as tmp:
-        if scenario_path is None:
-            scenario_file = os.path.join(tmp, "scenario.json")
-            with open(scenario_file, "w", encoding="utf-8") as handle:
-                json.dump(default_scenario_json(n=200, seed=3), handle)
-        else:
-            scenario_file = str(scenario_path)
-            load_scenario(scenario_file)
+        scenario_file = os.path.join(tmp, "scenario.json")
+        with open(scenario_file, "w", encoding="utf-8") as handle:
+            json.dump(default_scenario_json(n=200, seed=3), handle)
         sample_file = os.path.join(tmp, "sample.csv")
-        code = main(["simulate", "--scenario", scenario_file, "--out", sample_file])
-        if code != 0:
-            return False, f"simulate exited {code}"
-        outs = []
-        for run in ("a", "b"):
-            out_dir = os.path.join(tmp, run)
-            code = main(
-                ["fit", "--input", sample_file, "--x", "0.5", "--json", "--out", out_dir]
-            )
+        outs = [os.path.join(tmp, run) for run in ("a", "b")]
+        runs = [["simulate", "--scenario", scenario_file, "--out", sample_file]]
+        runs += [
+            ["fit", "--input", sample_file, "--x", "0.5", "--json", "--out", out] for out in outs
+        ]
+        for argv in runs:
+            # the report is all ``check`` prints: keep the runs' messages,
+            # and show the last one if a run fails
+            messages = io.StringIO()
+            with contextlib.redirect_stderr(messages):
+                code = main(argv)
             if code != 0:
-                return False, f"fit exited {code}"
-            outs.append(out_dir)
+                last = (messages.getvalue().splitlines() or [""])[-1]
+                return False, f"{argv[0]} exited {code}: {last}"
         names = sorted(os.listdir(outs[0]))
         if names != sorted(os.listdir(outs[1])):
             return False, "output file sets differ"
@@ -410,23 +402,23 @@ def check_names(quick: bool = False) -> list[str]:
     return [name for name, _, slow in _CHECKS if not (quick and slow)]
 
 
-def run_check(name: str, scenario_path=None) -> CheckResult:
+def run_check(name: str) -> CheckResult:
     for cname, fn, _ in _CHECKS:
         if cname == name:
             start = time.perf_counter()
             try:
-                passed, detail = fn(scenario_path)
-            except Exception as err:  # a broken fixture fails by name
+                passed, detail = fn()
+            except Exception as err:  # a check that raises fails by name
                 passed, detail = False, f"{type(err).__name__}: {err}"
             return CheckResult(name, passed, detail, time.perf_counter() - start)
     raise KeyError(f"unknown check {name!r}")
 
 
-def run_suite(quick: bool = False, scenario_path=None) -> list[CheckResult]:
+def run_suite(quick: bool = False) -> list[CheckResult]:
     results = []
     for name, _, slow in _CHECKS:
         if quick and slow:
             results.append(CheckResult(name, True, "skipped in quick mode", 0.0, True))
             continue
-        results.append(run_check(name, scenario_path))
+        results.append(run_check(name))
     return results

@@ -3,9 +3,9 @@
 Four subcommands: ``simulate`` draws a sample from a scenario file,
 ``fit`` estimates conditional hazards and occupations at one or more
 covariate points, ``covariance`` adds plug-in covariance surfaces, and
-``check`` runs the acceptance suite. Numeric CSV output uses 17
-significant digits so every value round-trips exactly; runs with the
-same configuration and seed are byte-identical.
+``check`` runs the acceptance suite on its built-in fixtures. Numeric
+CSV output uses 17 significant digits so every value round-trips
+exactly; runs with the same configuration and seed are byte-identical.
 
 The writers work from the result arrays. Step curves repeat their
 values, so each distinct float (by bit pattern) is formatted once, and
@@ -364,11 +364,11 @@ def cmd_covariance(args) -> int:
     for i, result in enumerate(results):
         grid = default_surface_grid(result.hazard.times, args.grid)
         states = result.hazard.states
-        final_counts = result.hazard.counts.values[-1] if result.hazard.times.size else None
+        final_counts = result.hazard.counts.values[-1]
         pairs = []
         for a, sa in enumerate(states):
             for b, sb in enumerate(states):
-                if a != b and final_counts is not None and final_counts[a, b] > 0:
+                if a != b and final_counts[a, b] > 0:
                     pairs.append((sa, sb))
         for sa, sb in pairs:
             surface = hazard_covariance(
@@ -395,7 +395,7 @@ def cmd_covariance(args) -> int:
 def cmd_check(args) -> int:
     from .checks import run_suite
 
-    results = run_suite(quick=args.quick, scenario_path=args.scenario)
+    results = run_suite(quick=args.quick)
     failed = 0
     for r in results:
         if r.skipped:
@@ -470,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the acceptance suite")
     p_check.add_argument("--quick", action="store_true", help="skip the slow Monte Carlo checks")
-    p_check.add_argument("--scenario", default=None, help="scenario override for scenario-driven checks")
     p_check.set_defaults(func=cmd_check)
     return parser
 

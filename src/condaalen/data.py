@@ -321,8 +321,8 @@ def load_sample(path) -> Sample:
             raise ParseError("no covariate columns found (expected x1, x2, ...)")
         end_col = position.get("end")
 
+        # subjects in order of first appearance
         rows_by_id: dict[str, list[tuple[float, int, str, int, tuple[str, ...]]]] = {}
-        order: list[str] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -345,17 +345,16 @@ def load_sample(path) -> Sample:
                 raise ParseError(f"line {lineno}: unparsable state {raw_state!r}") from None
             end_flag = row[end_col].strip() if end_col is not None else ""
             cells = tuple(row[position[name]].strip() for name in covar_cols)
-            if sid not in rows_by_id:
-                rows_by_id[sid] = []
-                order.append(sid)
-            rows_by_id[sid].append((time, state, end_flag, lineno, cells))
+            rows_by_id.setdefault(sid, []).append((time, state, end_flag, lineno, cells))
 
-        if not order:
+        if not rows_by_id:
             raise ParseError("no subjects in file")
 
     paths, labels = [], []
-    for sid in order:
-        rows = sorted(rows_by_id[sid], key=lambda r: r[0])
+    seen: set[int] = set()
+    terminal: set[int] = set()
+    for sid, rows in rows_by_id.items():
+        rows = sorted(rows, key=lambda r: r[0])
         for (t_a, *_), (t_b, _, _, line_b, _) in zip(rows, rows[1:]):
             if t_b <= t_a:
                 raise ParseError(f"duplicate time for id {sid!r} at t={t_b} (line {line_b})")
@@ -384,9 +383,11 @@ def load_sample(path) -> Sample:
         censored = last_flag == "1"
         jumps = []
         current = first_state
+        seen.add(first_state)
         for time, state, _, lineno, _ in rows[1:]:
             if state != current:
                 jumps.append((time, state))
+                seen.add(state)
                 current = state
             elif (time, state) != (last_time, last_state) or not censored:
                 raise ValidationError(
@@ -402,14 +403,8 @@ def load_sample(path) -> Sample:
             )
         )
         labels.append(f"id {sid!r} (line {first_line})")
-
-    seen: set[int] = set()
-    terminal: set[int] = set()
-    for p in paths:
-        seen.add(p.initial_state)
-        seen.update(s for _, s in p.jumps)
-        if p.end_reason == ABSORBED:
-            terminal.add(p.final_state)
+        if not censored:
+            terminal.add(current)
     space = StateSpace(tuple(sorted(seen)), frozenset(terminal))
 
     sample = Sample(tuple(paths), space)

@@ -69,10 +69,12 @@ class KernelSpec:
         return cls((kernel,) * dim, atoms)
 
     def eval_point(self, coords) -> tuple[float, ...]:
-        """An evaluation point: ``coords`` as floats, one per dimension."""
+        """An evaluation point: ``coords`` as finite floats, one per dimension."""
         coords = tuple(float(c) for c in coords)
         if len(coords) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
+        if not all(math.isfinite(c) for c in coords):
+            raise ValueError(f"evaluation point {coords!r} has a non-finite coordinate")
         return coords
 
     def atom_flags(self, coords) -> tuple[bool, ...]:
@@ -172,8 +174,7 @@ def nw_weights(sample: Sample, x, spec: KernelSpec, a: float) -> WeightVector:
     """
     if not 0.0 < a < math.inf:
         raise ValueError(f"bandwidth must be a finite number > 0, got {a!r}")
-    if len(x) != spec.dim:
-        raise ValueError(f"evaluation point has {len(x)} coordinates, spec has {spec.dim}")
+    x = spec.eval_point(x)
     if len(sample) == 0:
         raise ValueError("empty sample")
     if sample.covariate_dim != spec.dim:

@@ -167,18 +167,6 @@ class IntensitySpec:
             raise ValueError("initial state must not be absorbing")
 
 
-@dataclass(frozen=True)
-class OraclePath:
-    """True occupation probabilities on a time grid, one column per state."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    states: tuple[int, ...]
-
-    def curve(self, state: int) -> np.ndarray:
-        return self.values[:, self.states.index(state)]
-
-
 def _check_rate(value: float, j: int, k: int, t: float) -> float:
     if value < 0:
         raise ValueError(f"negative rate {value} for {j}->{k} at t={t}")
@@ -344,9 +332,11 @@ def simulate_sample(
     return Sample(paths, intensity.state_space)
 
 
-def markov_occupation_oracle(intensity: IntensitySpec, x, grid) -> OraclePath:
+def markov_occupation_oracle(intensity: IntensitySpec, x, grid) -> np.ndarray:
     """True occupation probabilities of a Markov specification at ``x``.
 
+    Returns a ``(len(grid), S)`` array: row ``i`` is the distribution at
+    ``grid[i]``, column ``a`` the state ``intensity.state_space.states[a]``.
     Solves the forward equation ``p' = p Q(t)``; a time-constant
     generator is handled exactly through the matrix exponential, the
     general case with an adaptive fourth-order integrator.
@@ -398,7 +388,7 @@ def markov_occupation_oracle(intensity: IntensitySpec, x, grid) -> OraclePath:
         if not sol.success:
             raise RuntimeError(f"forward equation solve failed: {sol.message}")
         values = sol.y.T
-    return OraclePath(grid, values, states)
+    return values
 
 
 def brute_force_estimator(

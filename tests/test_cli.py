@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from condaalen import checks
 from condaalen.checks import _floor_sample
 from condaalen.cli import _write_surface, main
 from condaalen.covariance import CovarianceSurface
@@ -332,7 +333,9 @@ def test_surface_writer_matches_csv_writer(tmp_path):
 
 def test_check_quick_passes(capsys):
     assert main(["check", "--quick"]) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    # the report is all it prints: the determinism check's own runs stay quiet
+    assert err == ""
     for name in (
         "conservation",
         "exposure-identity",
@@ -348,14 +351,15 @@ def test_check_quick_passes(capsys):
     assert "SKIP covariance-sanity" in out
 
 
-def test_check_corrupt_scenario_fails_by_name(tmp_path, capsys):
-    bad = tmp_path / "broken.json"
-    bad.write_text(json.dumps({"states": [1, 2]}))
-    code = main(["check", "--quick", "--scenario", str(bad)])
-    assert code == 1
+def test_check_that_raises_fails_by_name(monkeypatch, capsys):
+    def broken():
+        raise RuntimeError("fixture went missing")
+
+    monkeypatch.setattr(checks, "_CHECKS", checks._CHECKS + (("broken", broken, False),))
+    assert main(["check", "--quick"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out
-    assert "missing field" in out
+    assert "FAIL broken: RuntimeError: fixture went missing (" in out
+    assert "PASS conservation" in out
 
 
 def test_round_trip_through_cli(workspace, tmp_path):
@@ -388,11 +392,13 @@ SIM = ["simulate", "--scenario", "{scenario}", "--out", "{out}"]
         (FIT + ["--x", "0.5", "--atoms", "1:nan"], "--atoms"),
         (COV + ["--x", "0.5", "--atoms", "1:0.2,inf"], "--atoms"),
         (FIT + ["--x", "0.5", "--atoms", "1:0.5", "--atoms", "1:0.7"], "--atoms"),
+        # the acceptance suite runs on its built-in fixtures only
+        (["check", "--scenario", "x.json"], "--scenario"),
     ],
     ids=[
         "theta-inf", "theta-nan", "grid-0", "grid-negative", "n-negative", "n-0",
         "x-nan", "epsilon-abc", "missing-input", "unknown-subcommand",
-        "atoms-nan", "atoms-inf", "atoms-repeated-dimension",
+        "atoms-nan", "atoms-inf", "atoms-repeated-dimension", "check-scenario",
     ],
 )
 def test_cli_rejects_bad_arguments(workspace, tmp_path, capsys, argv, flag):

@@ -182,6 +182,14 @@ def test_fit_raises_without_kernel_mass():
         fit(s, (9.0,), explicit_bandwidth=0.5)
 
 
+@pytest.mark.parametrize("coord", [math.nan, math.inf, -math.inf])
+def test_fit_rejects_non_finite_x(coord):
+    # bad input, not the "no kernel mass" subclass of ValueError
+    with pytest.raises(ValueError, match="non-finite coordinate") as info:
+        fit(_two_path_sample(), (coord,))
+    assert type(info.value) is ValueError
+
+
 @pytest.mark.parametrize(
     "value, shown", [(math.inf, "inf"), (math.nan, "nan"), (0.0, "0.0"), (-0.2, "-0.2")]
 )

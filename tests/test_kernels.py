@@ -175,6 +175,15 @@ def test_weights_reject_bad_bandwidth(a, shown):
         nw_weights(_sample([0.4, 0.6]), spec.eval_point((0.5,)), spec, a)
 
 
+@pytest.mark.parametrize("coord", [math.nan, math.inf, -math.inf])
+def test_weights_reject_non_finite_x(coord):
+    # bad input, not degenerate weights that read as "no kernel mass"
+    spec = KernelSpec.for_dims(1)
+    with pytest.raises(ValueError, match="non-finite coordinate") as info:
+        nw_weights(_sample([0.4, 0.6]), (coord,), spec, 0.5)
+    assert type(info.value) is ValueError
+
+
 @given(
     covars=st.lists(st.floats(-5, 5), min_size=1, max_size=25),
     x=st.floats(-5, 5),

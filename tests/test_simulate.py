@@ -178,8 +178,8 @@ def test_oracle_constant_two_state():
     sc = load_scenario(raw)
     grid = np.linspace(0.0, 3.0, 13)
     oracle = markov_occupation_oracle(sc["intensity"], (0.5,), grid)
-    np.testing.assert_allclose(oracle.curve(1), np.exp(-grid), atol=1e-12)
-    np.testing.assert_allclose(oracle.curve(2), 1 - np.exp(-grid), atol=1e-12)
+    np.testing.assert_allclose(oracle[:, 0], np.exp(-grid), atol=1e-12)
+    np.testing.assert_allclose(oracle[:, 1], 1 - np.exp(-grid), atol=1e-12)
 
 
 def test_oracle_time_varying_matches_closed_form():
@@ -197,7 +197,7 @@ def test_oracle_time_varying_matches_closed_form():
     grid = np.linspace(0.0, 2.0, 9)
     oracle = markov_occupation_oracle(sc["intensity"], (0.5,), grid)
     want = np.exp(-(grid + grid**2 / 2))
-    np.testing.assert_allclose(oracle.curve(1), want, atol=1e-8)
+    np.testing.assert_allclose(oracle[:, 0], want, atol=1e-8)
 
 
 def test_oracle_time_varying_matches_midpoint_product():
@@ -222,7 +222,7 @@ def test_oracle_time_varying_matches_midpoint_product():
         np.fill_diagonal(q, -q.sum(axis=1))
         qh = q * (hi - lo)
         p = p @ (np.eye(3) + qh + qh @ qh / 2)
-    np.testing.assert_allclose(oracle.values[0], p, atol=1e-6)
+    np.testing.assert_allclose(oracle[0], p, atol=1e-6)
     del sc
 
 
