@@ -35,7 +35,8 @@ from .covariance import default_surface_grid, hazard_covariance, occupation_cova
 from .data import ParseError, Sample, ValidationError, _fmt, load_sample, write_sample
 from .estimators import FitResult, fit
 from .kernels import KernelSpec, NoKernelMass
-from .simulate import load_scenario, simulate_path
+# simulate_path is unused here, but bench/run.py wraps cli.simulate_path by name
+from .simulate import load_scenario, simulate_path, simulate_sample  # noqa: F401
 
 _EXIT_OK = 0
 _EXIT_ERROR = 1
@@ -337,9 +338,7 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else scenario["seed"]
     if n < 1 or seed < 0:
         raise ValueError(f"scenario needs n >= 1 and seed >= 0, got n={n}, seed={seed}")
-    intensity, censoring = scenario["intensity"], scenario["censoring"]
-    paths = tuple(simulate_path(intensity, censoring, seed, i) for i in range(n))
-    sample = Sample(paths, intensity.state_space)
+    sample = simulate_sample(scenario["intensity"], scenario["censoring"], n, seed)
     write_sample(sample, args.out)
     print(f"wrote {n} paths to {args.out}", file=sys.stderr)
     return _EXIT_OK

@@ -94,6 +94,8 @@ def kernel_eval(kernel: str, u) -> np.ndarray | float:
         raise ValueError(f"unknown kernel id {kernel!r}")
     arr = np.asarray(u, dtype=float)
     inside = np.abs(arr) <= 1.0
+    # the formula sees 0.0 outside the support, where a far u would overflow
+    arr = np.where(inside, arr, 0.0)
     if kernel == "epanechnikov":
         out = np.where(inside, 0.75 * (1.0 - arr * arr), 0.0)
     elif kernel == "triangular":
@@ -185,7 +187,10 @@ def nw_weights(sample: Sample, x, spec: KernelSpec, a: float) -> WeightVector:
         if xi in atom_set:
             factors *= col == xi
         else:
-            contrib = kernel_eval(spec.kernels[i], (xi - col) / a) / a
+            # a distance that overflows is infinite, hence outside the support
+            with np.errstate(over="ignore"):
+                scaled = (xi - col) / a
+            contrib = kernel_eval(spec.kernels[i], scaled) / a
             factors *= np.where(np.isin(col, atom_set), 0.0, contrib)
     total = float(factors.sum())
     if total <= 0.0:

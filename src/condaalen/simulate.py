@@ -13,12 +13,19 @@ its covariates, jump times and jump targets from
 ``np.random.default_rng([seed, index, 0])`` and its censoring time from
 ``np.random.default_rng([seed, index, 1])``, in the order the samplers
 below consume them. A path is a function of ``(seed, index)`` alone.
-The streams are built from the ``uint32`` words numpy's ``SeedSequence``
-makes of that list: each integer split into 32-bit little-endian words,
-0 as one word. Passing those words as a ``uint32`` array gives the same
-entropy, hence the same streams, without numpy coercing a Python list on
-every call. A jump target is drawn as ``Generator.choice(targets, p=p)``
-draws it, bit for bit, with no array built per jump (:func:`_choose`).
+The streams are exactly those, but numpy does not build them. The entropy
+is the ``uint32`` words ``SeedSequence`` makes of that list: each integer
+split into 32-bit little-endian words, 0 as one word (:func:`_words`).
+:func:`_pcg64_states` turns rows of such words into PCG64 states in one
+vectorised pass: ``SeedSequence``'s hash of the words into four
+``uint64``, then PCG64's seeding step, both fixed integer arithmetic.
+:func:`simulate_sample` seeds its subjects in chunks this way and loads
+each subject's two states into two reused generators, so no generator is
+constructed per subject; :func:`simulate_path` seeds its one subject the
+same way. The tests check the states against ``default_rng`` itself, so
+a change to numpy's seeding fails there. A jump target is drawn as
+``Generator.choice(targets, p=p)`` draws it, bit for bit, with no array
+built per jump (:func:`_choose`).
 
 Scenario files are JSON; rate expressions use a restricted arithmetic
 grammar over ``t``, ``duration``, and the covariates ``x1 .. xd`` (``x``
@@ -244,6 +251,8 @@ def _simulate_jumps_thinning(intensity, x, censor_time, rng):
         if t > censor_time:
             return jumps, False, censor_time
         window_end = t + h
+        if not window_end > t:
+            raise ValueError(f"thinning window {h} makes no progress at t={t}")
         targets = _targets(space, state)
         probes = np.linspace(t, window_end, _MAJORANT_POINTS)
         total_at = [
@@ -297,14 +306,109 @@ def _words(value) -> list[int]:
     return words
 
 
-def simulate_path(intensity: IntensitySpec, censoring, seed, index: int) -> ObservedPath:
-    """Simulate one subject with the RNG streams ``[seed, index, 0]`` and ``[seed, index, 1]``.
+# numpy's SeedSequence: O'Neill's seed_seq_fe hash over a pool of four words
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+# PCG64's 128-bit LCG multiplier, as 32-bit limbs, least significant first
+_PCG_MULT = [np.uint64(0x2360ED051FC65DA44385DF649FCCF645 >> 32 * i & 0xFFFFFFFF) for i in range(4)]
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# subjects seeded per pass of simulate_sample
+_CHUNK = 1024
 
-    ``censoring(rng, x)`` draws the subject's positive censoring time.
+
+def _hashmix(init: int, mult: int):
+    """seed_seq_fe's ``hashmix``, whose constant advances by ``mult`` each call."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        xor, const = const, const * mult & 0xFFFFFFFF
+        value = (value ^ np.uint32(xor)) * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
+def _mix(x, y):
+    value = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return value ^ (value >> _XSHIFT)
+
+
+def _carry(limbs):
+    """Sums of 32-bit limbs, held in ``uint64``, carried into limbs mod 2**128."""
+    out, carry = [], 0
+    for limb in limbs:
+        limb = limb + carry
+        out.append(limb & _LOW32)
+        carry = limb >> _SHIFT32
+    return out
+
+
+def _pcg64_states(entropy) -> np.ndarray:
+    """The PCG64 state ``default_rng(row)`` starts from, for each row of ``entropy``.
+
+    ``entropy`` is an (N, L) ``uint32`` array of ``SeedSequence`` entropy
+    words. Returns an (N, 4) ``uint64`` array of the 128-bit ``state`` and
+    ``inc`` as (state high, state low, inc high, inc low). This is
+    ``SeedSequence(row).generate_state(4, np.uint64)`` and PCG64's
+    ``srandom`` step, vectorised over rows in wrapping integer arithmetic.
     """
-    key = _words(seed) + _words(index)
-    rng_jump = np.random.default_rng(np.array(key + [0], dtype=np.uint32))
-    rng_cens = np.random.default_rng(np.array(key + [1], dtype=np.uint32))
+    entropy = np.asarray(entropy, dtype=np.uint32)
+    rows, length = entropy.shape
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [
+        hashmix(entropy[:, i] if i < length else np.zeros(rows, np.uint32))
+        for i in range(_POOL_SIZE)
+    ]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, length):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    # eight 32-bit words, pairs of them the uint64 words v0..v3 (low word first)
+    w = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    # initstate = v0 << 64 | v1 and inc = (v2 << 64 | v3) << 1 | 1, as limbs
+    initstate = [w[2], w[3], w[0], w[1]]
+    seq = [w[6], w[7], w[4], w[5]]
+    inc = [(seq[0] << np.uint64(1) | np.uint64(1)) & _LOW32] + [
+        (seq[i] << np.uint64(1) | seq[i - 1] >> np.uint64(31)) & _LOW32 for i in range(1, 4)
+    ]
+    # state = ((inc + initstate) * M + inc) mod 2**128
+    a = _carry([x + y for x, y in zip(inc, initstate)])
+    acc = [np.zeros(rows, np.uint64) for _ in range(4)]
+    for i in range(4):
+        for j in range(4 - i):
+            product = a[i] * _PCG_MULT[j]
+            acc[i + j] += product & _LOW32
+            if i + j < 3:
+                acc[i + j + 1] += product >> _SHIFT32
+    state = _carry([x + y for x, y in zip(acc, inc)])
+    return np.stack(
+        [state[2] | state[3] << _SHIFT32, state[0] | state[1] << _SHIFT32,
+         inc[2] | inc[3] << _SHIFT32, inc[0] | inc[1] << _SHIFT32],
+        axis=1,
+    )
+
+
+def _load(bit_generator, row) -> None:
+    """Put ``bit_generator`` (a PCG64) where ``default_rng`` starts the stream of a states row."""
+    state_hi, state_lo, inc_hi, inc_lo = row
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _simulate_subject(intensity: IntensitySpec, censoring, rng_jump, rng_cens) -> ObservedPath:
+    """One subject from its jump and censoring streams."""
     x = tuple(float(v) for v in np.atleast_1d(intensity.covariate_law(rng_jump)))
     censor_time = float(censoring(rng_cens, x))
     if not censor_time > 0:
@@ -322,14 +426,49 @@ def simulate_path(intensity: IntensitySpec, censoring, seed, index: int) -> Obse
     )
 
 
+def simulate_path(intensity: IntensitySpec, censoring, seed, index: int) -> ObservedPath:
+    """Simulate one subject with the RNG streams ``[seed, index, 0]`` and ``[seed, index, 1]``.
+
+    ``censoring(rng, x)`` draws the subject's positive censoring time.
+    """
+    key = _words(seed) + _words(index)
+    states = _pcg64_states(np.array([key + [0], key + [1]], dtype=np.uint32)).tolist()
+    rngs = []
+    for row in states:
+        bit_generator = np.random.PCG64(0)
+        _load(bit_generator, row)
+        rngs.append(np.random.Generator(bit_generator))
+    return _simulate_subject(intensity, censoring, *rngs)
+
+
 def simulate_sample(
     intensity: IntensitySpec, censoring, n: int, seed
 ) -> Sample:
-    """Simulate ``n`` independent subjects, deterministic given ``seed``."""
+    """Simulate ``n`` independent subjects, deterministic given ``seed``.
+
+    Subject ``i`` is ``simulate_path(intensity, censoring, seed, i)``. The
+    streams of a chunk of subjects are seeded in one pass and loaded, one
+    subject at a time, into two reused generators.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    paths = tuple(simulate_path(intensity, censoring, seed, i) for i in range(n))
-    return Sample(paths, intensity.state_space)
+    key = _words(seed)
+    jump, cens = np.random.PCG64(0), np.random.PCG64(0)
+    rng_jump, rng_cens = np.random.Generator(jump), np.random.Generator(cens)
+    paths = []
+    for lo in range(0, n, _CHUNK):
+        # rows key + [index, k]: an index below n fits one 32-bit word
+        index = np.arange(lo, min(n, lo + _CHUNK), dtype=np.uint32)
+        entropy = np.empty((len(index), 2, len(key) + 2), dtype=np.uint32)
+        entropy[:, :, :-2] = key
+        entropy[:, :, -2] = index[:, None]
+        entropy[:, :, -1] = (0, 1)
+        states = _pcg64_states(entropy.reshape(2 * len(index), -1)).tolist()
+        for row_jump, row_cens in zip(states[::2], states[1::2]):
+            _load(jump, row_jump)
+            _load(cens, row_cens)
+            paths.append(_simulate_subject(intensity, censoring, rng_jump, rng_cens))
+    return Sample(tuple(paths), intensity.state_space)
 
 
 def markov_occupation_oracle(intensity: IntensitySpec, x, grid) -> np.ndarray:
@@ -624,6 +763,19 @@ def _censoring_sampler(law: dict, dim: int):
     return draw
 
 
+def _integer(value, field: str) -> int:
+    """A scenario's integer field: a JSON integer, never a float, string, bool or null."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"scenario field {field!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(values, field: str) -> list[int]:
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"scenario field {field!r} must be a list of integers, got {values!r}")
+    return [_integer(v, field) for v in values]
+
+
 def load_scenario(source) -> dict:
     """Parse a scenario JSON file or mapping.
 
@@ -637,17 +789,22 @@ def load_scenario(source) -> dict:
         with open(source, encoding="utf-8") as handle:
             raw = json.load(handle)
     try:
-        states = tuple(int(s) for s in raw["states"])
-        absorbing = frozenset(int(s) for s in raw.get("absorbing", ()))
+        states = tuple(_integers(raw["states"], "states"))
+        absorbing = frozenset(_integers(raw.get("absorbing", []), "absorbing"))
         space = StateSpace(states, absorbing)
         kind = raw.get("kind", MARKOV)
-        initial = int(raw["initial_state"])
+        initial = _integer(raw["initial_state"], "initial_state")
         laws = list(raw["covariates"])
         dim = len(laws)
         rate_exprs = dict(raw["rates"])
         censoring_law = dict(raw["censoring"])
-        n = int(raw["n"])
-        seed = int(raw["seed"])
+        n = _integer(raw["n"], "n")
+        seed = _integer(raw["seed"], "seed")
+        window = raw.get("thinning_window", 0.25)
+        if type(window) not in (int, float) or not 0 < window < math.inf:
+            raise ValueError(
+                f"scenario field 'thinning_window' must be a finite number > 0, got {window!r}"
+            )
         covariate_law = _covariate_sampler(laws)
         censoring = _censoring_sampler(censoring_law, dim)
     except KeyError as err:
@@ -686,7 +843,7 @@ def load_scenario(source) -> dict:
         state_space=space,
         initial_state=initial,
         time_constant=time_constant,
-        thinning_window=float(raw.get("thinning_window", 0.25)),
+        thinning_window=float(window),
     )
     return {"intensity": intensity, "censoring": censoring, "n": n, "seed": seed}
 

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from condaalen.simulate import default_scenario, simulate_sample
@@ -13,3 +16,27 @@ def sim_sample():
 @pytest.fixture(scope="session")
 def sim_scenario():
     return default_scenario(n=150, seed=42)
+
+
+class DeadlineExpired(BaseException):
+    """Raised into a call that outlives its deadline; no ``except Exception`` swallows it."""
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(seconds):`` fails a call that hangs instead of hanging the suite."""
+
+    @contextlib.contextmanager
+    def within(seconds: float):
+        def expire(signum, frame):
+            raise DeadlineExpired(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return within

@@ -87,6 +87,38 @@ def test_simulate_rejects_bad_rate_values(tmp_path, capsys, rate):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("n", None), ("n", 2.5), ("n", "10"), ("seed", 1.5), ("seed", True), ("states", [1, 2.0, 3])],
+)
+def test_simulate_rejects_non_integer_fields(tmp_path, capsys, field, value):
+    raw = default_scenario_json(n=5, seed=1)
+    raw[field] = value
+    scenario = tmp_path / "bad_field.json"
+    scenario.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"error: scenario field '{field}' must be")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window", [0, -0.5])
+def test_simulate_rejects_bad_thinning_window(tmp_path, capsys, deadline, window):
+    raw = default_scenario_json(n=5, seed=1)
+    raw["rates"]["1->2"] = "0.8*(1+x1) + 0*t"
+    raw["thinning_window"] = window
+    scenario = tmp_path / "bad_window.json"
+    scenario.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    with deadline(10):
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 1
+    assert "'thinning_window' must be a finite number > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_writes_expected_files(workspace):
     out = workspace / "fit"
     code = main(

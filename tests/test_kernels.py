@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from condaalen.data import CENSORED, ObservedPath, Sample, StateSpace
+from condaalen.estimators import fit
 from condaalen.kernels import (
     KernelSpec,
+    NoKernelMass,
     bandwidth,
     kernel_eval,
     kernel_l2,
@@ -198,6 +201,52 @@ def test_weights_normalize_or_degenerate(covars, x, a):
     else:
         assert np.all(w.weights >= 0.0)
         assert abs(w.weights.sum() - 1.0) < 1e-12
+
+
+def _masked_after(kernel, u):
+    """``kernel_eval`` as first written: the formula on every u, masked afterwards."""
+    arr = np.asarray(u, dtype=float)
+    inside = np.abs(arr) <= 1.0
+    if kernel == "epanechnikov":
+        return np.where(inside, 0.75 * (1.0 - arr * arr), 0.0)
+    if kernel == "triangular":
+        return np.where(inside, 1.0 - np.abs(arr), 0.0)
+    return np.where(inside, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@given(
+    covars=st.lists(st.floats(-5, 5), min_size=1, max_size=25),
+    x=st.floats(-5, 5),
+    a=st.floats(0.05, 10),
+)
+@settings(max_examples=60, deadline=None)
+def test_weights_bits_match_formula_masked_after(kernel, covars, x, a):
+    spec = KernelSpec.for_dims(1, kernel=kernel)
+    w = nw_weights(_sample(covars), spec.eval_point((x,)), spec, a)
+    factors = _masked_after(kernel, (x - np.asarray(covars)) / a) / a
+    total = float(factors.sum())
+    want = factors / total if total > 0.0 else np.zeros(len(covars))
+    assert np.array_equal(w.weights.view(np.int64), want.view(np.int64))
+    assert np.array_equal(kernel_eval(kernel, covars).view(np.int64),
+                          _masked_after(kernel, covars).view(np.int64))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_far_kernel_arguments_do_not_overflow(kernel):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel_eval(kernel, 1e200) == 0.0
+        assert kernel_eval(kernel, -1e200) == 0.0
+        assert np.array_equal(kernel_eval(kernel, np.array([1e200, -np.inf, np.inf])), [0.0] * 3)
+
+
+@pytest.mark.parametrize("x, bandwidth", [((1e308,), None), ((-1e308,), None), ((0.5,), 1e-300)])
+def test_far_point_or_tiny_bandwidth_is_no_mass_without_warning(sim_sample, x, bandwidth):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoKernelMass):
+            fit(sim_sample, x, explicit_bandwidth=bandwidth)
 
 
 @given(

@@ -244,6 +244,57 @@ def test_zero_rate_windows_advance_thinning():
     assert p.end_reason == CENSORED
 
 
+def test_thinning_window_without_progress_raises(deadline):
+    # a window that does not move t would loop forever
+    space = StateSpace((1, 2), frozenset({2}))
+    intensity = IntensitySpec(
+        kind=MARKOV,
+        rate=lambda j, k, t, d, x: 0.8 + 0 * t,
+        covariate_law=lambda rng: (0.5,),
+        state_space=space,
+        initial_state=1,
+        thinning_window=0.0,
+    )
+    with deadline(10), pytest.raises(ValueError, match="thinning window 0.0 makes no progress"):
+        simulate_path(intensity, lambda rng, x: 1.0, 1, 0)
+
+
+@pytest.mark.parametrize("window", [0, -0.5, math.nan, math.inf, "0.25", True, None])
+def test_scenario_rejects_bad_thinning_window(window, deadline):
+    raw = _scenario_dict(rates={"1->2": "0.8*(1+x1) + 0*t"}, thinning_window=window)
+    with deadline(10), pytest.raises(ValueError, match="'thinning_window' must be a finite number > 0"):
+        sc = load_scenario(raw)
+        simulate_sample(sc["intensity"], sc["censoring"], 3, 1)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n", None),
+        ("n", 2.5),
+        ("n", 2.0),
+        ("n", "10"),
+        ("n", True),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", None),
+        ("seed", "3"),
+        ("initial_state", 1.0),
+        ("initial_state", "1"),
+        ("states", [1, 2.5, 3]),
+        ("states", [1, "2", 3]),
+        ("states", None),
+        ("absorbing", [3.0]),
+        ("absorbing", [None]),
+    ],
+)
+def test_scenario_integer_fields_must_be_integers(field, value):
+    raw = _scenario_dict(**{field: value})
+    with pytest.raises(ValueError, match=f"scenario field '{field}' must be") as info:
+        load_scenario(raw)
+    assert type(info.value) is ValueError
+
+
 def test_scenario_from_file(tmp_path):
     f = tmp_path / "scen.json"
     f.write_text(json.dumps(default_scenario_json(n=7, seed=2)))

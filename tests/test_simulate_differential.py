@@ -8,7 +8,9 @@ equal the oracle's in every bit, so a change to how the streams are
 built, how a target is chosen or how a rate is computed fails here
 rather than drifting. Numpy's own ``choice`` is also probed at crafted
 uniforms: on a cumulative-table entry and in the gap a missing
-normalisation opens.
+normalisation opens. The batched seeding is checked against
+``default_rng`` state by state, so a change to numpy's ``SeedSequence``
+or PCG64 seeding fails here loudly.
 """
 
 import ast
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condaalen import simulate
 from condaalen.data import ABSORBED, CENSORED, ObservedPath
 from condaalen.simulate import (
     _ALLOWED_FUNCS,
@@ -27,6 +30,8 @@ from condaalen.simulate import (
     IntensitySpec,
     _choice_cdf,
     _choose,
+    _load,
+    _pcg64_states,
     _words,
     compile_expression,
     default_scenario_json,
@@ -237,27 +242,83 @@ def _scenarios():
 
 
 SEEDS = [0, 3, 2**32 - 1, 2**32, 2**64 + 5]
+INDICES = [0, 1, 2999, 2**32 - 1, 2**32, 2**40 + 3]
 
 
 @pytest.mark.parametrize("name", list(_scenarios()))
-def test_sampler_matches_literal_sampler(name):
+def test_sampler_matches_literal_sampler(name, monkeypatch):
     raw = _scenarios()[name]
     fast = load_scenario(raw)
     intensity, censoring = _literal_scenario(raw)
     assert intensity.time_constant == (name not in ("semi-markov", "thinning"))
     jumps = 0
     for seed in SEEDS:
-        sample = simulate_sample(fast["intensity"], fast["censoring"], 25, seed)
-        for index, path in enumerate(sample.paths):
-            want = _literal_path(intensity, censoring, seed, index)
-            assert path == want, (seed, index)
-            assert _bits(path) == _bits(want), (seed, index)
-            jumps += len(path.jumps)
+        wants = [_literal_path(intensity, censoring, seed, index) for index in range(25)]
+        # 7 seeds the 25 subjects in four chunks, the last one ragged; 1024 is the default
+        for chunk in (7, 1024):
+            monkeypatch.setattr(simulate, "_CHUNK", chunk)
+            sample = simulate_sample(fast["intensity"], fast["censoring"], 25, seed)
+            for index, (path, want) in enumerate(zip(sample.paths, wants, strict=True)):
+                assert path == want, (seed, index, chunk)
+                assert _bits(path) == _bits(want), (seed, index, chunk)
+        for index, want in enumerate(wants[:3]):
+            assert simulate_path(fast["intensity"], fast["censoring"], seed, index) == want
+        jumps += sum(len(want.jumps) for want in wants)
         for index in (2**32, 2**40 + 3):
             path = simulate_path(fast["intensity"], fast["censoring"], seed, index)
             want = _literal_path(intensity, censoring, seed, index)
             assert path == want and _bits(path) == _bits(want), (seed, index)
     assert jumps > 50
+
+
+def _generator(row) -> np.random.Generator:
+    bit_generator = np.random.PCG64(0)
+    _load(bit_generator, row)
+    return np.random.Generator(bit_generator)
+
+
+def _draws(rng) -> list:
+    return [rng.random(5), rng.integers(0, 2**63, 3), rng.random(3, dtype=np.float32), rng.random(2)]
+
+
+def test_batched_states_are_default_rng_states():
+    keys = [(seed, index, k) for seed in SEEDS for index in INDICES for k in (0, 1)]
+    by_length: dict[int, list] = {}
+    for key in keys:
+        words = _words(key[0]) + _words(key[1]) + [key[2]]
+        by_length.setdefault(len(words), []).append((key, words))
+    assert sorted(by_length) == [3, 4, 5, 6]
+    for group in by_length.values():
+        # one call per word length, as simulate_sample seeds a chunk
+        rows = _pcg64_states(np.array([words for _, words in group], dtype=np.uint32))
+        assert rows.dtype == np.uint64 and rows.shape == (len(group), 4)
+        for (key, _), row in zip(group, rows.tolist()):
+            want = np.random.default_rng(list(key))
+            got = _generator(row)
+            assert got.bit_generator.state == want.bit_generator.state, key
+            for a, b in zip(_draws(got), _draws(want)):
+                assert np.array_equal(a, b), key
+
+
+def test_reused_generators_start_each_subject_fresh():
+    # a float32 draw leaves half a 64-bit output buffered in the bit generator;
+    # the next subject must not see it
+    intensity = IntensitySpec(
+        kind=MARKOV,
+        rate=lambda j, k, t, duration, x: 0.5,
+        covariate_law=lambda rng: (float(rng.random(dtype=np.float32)),),
+        state_space=load_scenario(default_scenario_json())["intensity"].state_space,
+        initial_state=1,
+        time_constant=True,
+    )
+
+    def censoring(rng, x):
+        return 0.5 + float(rng.random(dtype=np.float32))
+
+    sample = simulate_sample(intensity, censoring, 40, 11)
+    for index, path in enumerate(sample.paths):
+        want = _literal_path(intensity, censoring, 11, index)
+        assert path == want, index
 
 
 @pytest.mark.parametrize("value", [0, 1, 3, 2**32 - 1, 2**32, 2**33 + 7, 2**64 + 5, 10**30])
