@@ -112,6 +112,24 @@ def event_grid(sample: Sample) -> np.ndarray:
     return sample.table.grid
 
 
+def _slice_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """``a.sum(axis)`` over a short axis as slice adds, ``((0.0 + a_0) + a_1) + ...``.
+
+    This is numpy's order for the (m, S, S) arrays here, so the bits
+    agree, signed zeros included: the leading ``0.0`` turns a ``-0.0`` sum
+    into ``+0.0`` as numpy's reduction does (a differential test pins
+    both). Whole-slice adds take a fraction of the time of the strided
+    reduction. Along the contiguous last axis numpy adds 8 or more
+    entries in pairwise blocks instead, so such a sum stays with numpy.
+    """
+    if axis == a.ndim - 1 and a.shape[axis] >= 8:
+        return a.sum(axis=axis)
+    total = 0.0
+    for part in np.moveaxis(a, axis, 0):
+        total = total + part
+    return total
+
+
 def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> HazardEstimate:
     """Conditional cumulative hazard under conditioning ``weights``.
 
@@ -156,14 +174,14 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
     d_cens = np.diff(np.cumsum(cens, axis=0, out=cens), axis=0, prepend=0.0)
 
     initial = np.bincount(tab.init, weights=w, minlength=size)
-    expo = initial + np.cumsum(d_counts.sum(axis=1) - d_counts.sum(axis=2) - d_cens, axis=0)
+    expo = initial + np.cumsum(_slice_sum(d_counts, 1) - _slice_sum(d_counts, 2) - d_cens, axis=0)
     expo_left = np.vstack([initial, expo])[:-1]
 
     d_hazard = d_counts  # divided in place: one (m, S, S) array fewer at the peak
     d_hazard /= np.maximum(expo_left, epsilon)[:, :, None]
     diag = np.arange(size)
     d_hazard[:, diag, diag] = 0.0
-    d_hazard[:, diag, diag] = -d_hazard.sum(axis=2)
+    d_hazard[:, diag, diag] = -_slice_sum(d_hazard, 2)
 
     return HazardEstimate(
         hazard=StepMatrix(grid, np.cumsum(d_hazard, axis=0)),
@@ -202,24 +220,69 @@ def aalen_johansen(hazard: HazardEstimate, initial) -> OccupationEstimate:
     convention every one-step factor is a stochastic matrix, so the total
     mass of ``initial`` is conserved at every time.
 
-    Cost: one vectorised pass over the m hazard increments marks the live
-    steps, those with a nonzero entry; Python work and a vector-matrix
-    product happen only there. Between live steps ``p`` holds still, so
-    each grid time takes the row of the last live step at or before it,
-    indexed by the running count of live steps, or ``initial`` before the
-    first. The products are those of a step-by-step walk, in the same
-    order, so the values equal that walk's bit for bit.
+    Cost: a step with ``dA = 0`` leaves ``p`` alone. In continuous time no
+    two transitions share a time, so a live step has one nonzero row j,
+    and ``p @ dA`` in column c is ``p_j * dA_jc`` plus exact zeros. The
+    recursion therefore updates just those entries as Python floats,
+    ``p_c + p_j * dA_jc``, with ``p_j`` read before the step (row j's
+    columns are visited from j + 1 round to j, so the diagonal comes
+    last). That is the value of ``p + p @ dA`` in any summation order,
+    with or without FMA. A step with two or more nonzero rows, a tie
+    across source states, keeps ``p + p @ dA`` in numpy, because a BLAS
+    column sum of several nonzero products need not match any fixed
+    order of Python additions. The first live step also runs in numpy:
+    it turns a ``-0.0`` in ``initial`` into ``+0.0`` as the product does.
+    Each grid time then takes, per state, the value of its last write at
+    or before it (a running maximum over write positions), or ``initial``
+    before the first live step. The values equal those of a step-by-step
+    ``p + p @ dA`` walk bit for bit while ``p`` stays finite.
     """
     initial = np.asarray(initial, dtype=float)
     grid = hazard.hazard.times
     inc = hazard.hazard.increments()
-    live = inc.any(axis=(1, 2))
-    rows = np.empty((np.count_nonzero(live) + 1, initial.size))
-    p = initial.copy()
-    rows[0] = p
-    for r, step in enumerate(inc[live], start=1):
-        rows[r] = p = p + p @ step
-    values = rows[np.cumsum(live)]
+    m, size = len(inc), initial.size
+    axis = np.arange(size)
+    cycle = (axis[:, None] + 1 + axis) % size  # row i's columns from i + 1 round to i
+    nonzero = (inc != 0.0)[:, axis[:, None], cycle]
+    moving = _slice_sum(nonzero, 2) > 0.0  # far faster than any(axis=2)
+    n_sources = _slice_sum(moving, 1)
+    live = n_sources > 0.0
+    full = (n_sources > 1.0) | (live & (np.cumsum(live) == 1))
+    nonzero[full] = False
+    step, src, k = np.nonzero(nonzero)
+    col = cycle[src, k]
+    full_steps = np.flatnonzero(full)
+    rate = inc[step, src, col]
+    full_inc = inc[full]
+    # freed before the loop's lists exist, so a fit peaks in nelson_aalen as before
+    del inc, nonzero, k
+    at = np.searchsorted(step, full_steps)
+
+    p = initial.tolist()
+    out = []
+    # a full step is one loop entry: source -1, then its index among the full steps
+    for j, c, s in zip(
+        np.insert(src, at, -1).tolist(),
+        np.insert(col, at, np.arange(full_steps.size)).tolist(),
+        np.insert(rate, at, 0.0).tolist(),
+    ):
+        if j >= 0:
+            p[c] = v = p[c] + p[j] * s
+            out.append(v)
+        else:
+            vec = np.array(p)
+            p = (vec + vec @ full_inc[c]).tolist()
+            out += p
+
+    # out[w] was written at (step, column); a full step writes every column
+    at = np.repeat(at, size)
+    pos = np.tile(axis, (m, 1))
+    pos[
+        np.insert(step, at, np.repeat(full_steps, size)),
+        np.insert(col, at, np.tile(axis, full_steps.size)),
+    ] = size + np.arange(len(out))
+    table = np.concatenate([initial, np.fromiter(out, float, len(out))])
+    values = table[np.maximum.accumulate(pos, axis=0, out=pos)]
     return OccupationEstimate(grid, values, initial, hazard.states)
 
 

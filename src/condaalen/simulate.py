@@ -56,6 +56,7 @@ MARKOV = "markov"
 SEMI_MARKOV = "semi_markov"
 
 _MAX_JUMPS = 100_000
+_MAX_WINDOWS = 10_000  # jumpless thinning windows per path: t = 2500 at the default 0.25
 _MAJORANT_POINTS = 17
 _MAJORANT_SLACK = 1.25
 # how far from 1 ``Generator.choice`` lets probabilities sum
@@ -228,7 +229,7 @@ def _simulate_jumps_constant(intensity, x, censor_time, rng):
             return jumps, False, censor_time
         state = targets[_choose(_choice_cdf([r / total for r in rates]), rng)]
         jumps.append((t, state))
-    raise RuntimeError(f"path exceeded {_MAX_JUMPS} jumps; rates look explosive")
+    raise ValueError(f"path exceeded {_MAX_JUMPS} jumps; rates look explosive")
 
 
 def _simulate_jumps_thinning(intensity, x, censor_time, rng):
@@ -237,7 +238,8 @@ def _simulate_jumps_thinning(intensity, x, censor_time, rng):
     The majorant on each window is the largest total rate over a fixed
     set of probe points, inflated by a slack factor. Rates that spike
     strictly between probes can exceed it, which raises instead of
-    silently biasing the draw.
+    silently biasing the draw. So does a path with ``_MAX_WINDOWS``
+    windows that end without a jump, as a tiny ``thinning_window`` gives.
     """
     space = intensity.state_space
     state = intensity.initial_state
@@ -245,6 +247,7 @@ def _simulate_jumps_thinning(intensity, x, censor_time, rng):
     entry = 0.0
     h = intensity.thinning_window
     jumps = []
+    windows = 0
     while len(jumps) < _MAX_JUMPS:
         if state in space.absorbing:
             return jumps, True, t
@@ -253,6 +256,12 @@ def _simulate_jumps_thinning(intensity, x, censor_time, rng):
         window_end = t + h
         if not window_end > t:
             raise ValueError(f"thinning window {h} makes no progress at t={t}")
+        if windows - len(jumps) >= _MAX_WINDOWS:  # each jump ended one window
+            raise ValueError(
+                f"path passed {_MAX_WINDOWS} windows without a jump by t={t}; "
+                f"'thinning_window' {h} is too small"
+            )
+        windows += 1
         targets = _targets(space, state)
         probes = np.linspace(t, window_end, _MAJORANT_POINTS)
         total_at = [
@@ -275,7 +284,7 @@ def _simulate_jumps_thinning(intensity, x, censor_time, rng):
             ]
             total = sum(rates)
             if total > majorant:
-                raise RuntimeError(
+                raise ValueError(
                     f"majorant violated at t={s}: rate {total} > bound {majorant}; "
                     "shrink thinning_window"
                 )
@@ -290,7 +299,7 @@ def _simulate_jumps_thinning(intensity, x, censor_time, rng):
             if window_end > censor_time:
                 return jumps, False, censor_time
             t = window_end
-    raise RuntimeError(f"path exceeded {_MAX_JUMPS} jumps; rates look explosive")
+    raise ValueError(f"path exceeded {_MAX_JUMPS} jumps; rates look explosive")
 
 
 def _words(value) -> list[int]:
@@ -689,12 +698,14 @@ def _covariate_sampler(laws: list[dict]):
 
 def _covariate_draw(law: dict):
     """One coordinate's draw from an RNG, its parameters checked once here."""
+    if not isinstance(law, dict):
+        raise ValueError(f"scenario field 'covariates' must hold law objects, got {law!r}")
     kind = law["law"]
     if kind == "uniform":
-        low, high = law["low"], law["high"]
+        low, high = _number(law, "low"), _number(law, "high")
         return lambda rng: rng.uniform(low, high)
     if kind == "normal":
-        mean, sd = law["mean"], law["sd"]
+        mean, sd = _number(law, "mean"), _number(law, "sd")
         return lambda rng: rng.normal(mean, sd)
     if kind == "discrete":
         values, cdf = _discrete_law(law["values"], law["probs"])
@@ -724,6 +735,14 @@ def _discrete_law(values, probs) -> tuple[list[float], list[float]]:
     return support, _choice_cdf(p)
 
 
+def _number(law: dict, key: str) -> float:
+    """A law's numeric parameter, as ``float`` reads it."""
+    try:
+        return float(law[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{law['law']} law needs a number {key!r}, got {law[key]!r}") from None
+
+
 def _censoring_sampler(law: dict, dim: int):
     kind = law["law"]
     if kind == "exponential":
@@ -743,7 +762,7 @@ def _censoring_sampler(law: dict, dim: int):
             return rng.exponential(1.0 / rate)
 
     elif kind == "uniform":
-        low, high = float(law["low"]), float(law["high"])
+        low, high = _number(law, "low"), _number(law, "high")
         if not 0 <= low < high:
             raise ValueError("uniform censoring needs 0 <= low < high")
 
@@ -751,7 +770,7 @@ def _censoring_sampler(law: dict, dim: int):
             return rng.uniform(low, high)
 
     elif kind == "fixed":
-        value = float(law["value"])
+        value = _number(law, "value")
         if not value > 0:
             raise ValueError("fixed censoring time must be positive")
 
@@ -776,6 +795,13 @@ def _integers(values, field: str) -> list[int]:
     return [_integer(v, field) for v in values]
 
 
+def _collection(value, field: str, kinds, what: str):
+    """A scenario's list or object field, never null, a number or a string."""
+    if not isinstance(value, kinds):
+        raise ValueError(f"scenario field {field!r} must be {what}, got {value!r}")
+    return value
+
+
 def load_scenario(source) -> dict:
     """Parse a scenario JSON file or mapping.
 
@@ -794,10 +820,10 @@ def load_scenario(source) -> dict:
         space = StateSpace(states, absorbing)
         kind = raw.get("kind", MARKOV)
         initial = _integer(raw["initial_state"], "initial_state")
-        laws = list(raw["covariates"])
+        laws = _collection(raw["covariates"], "covariates", (list, tuple), "a list of laws")
         dim = len(laws)
-        rate_exprs = dict(raw["rates"])
-        censoring_law = dict(raw["censoring"])
+        rate_exprs = _collection(raw["rates"], "rates", dict, "an object of rate expressions")
+        censoring_law = _collection(raw["censoring"], "censoring", dict, "a law object")
         n = _integer(raw["n"], "n")
         seed = _integer(raw["seed"], "seed")
         window = raw.get("thinning_window", 0.25)

@@ -119,6 +119,75 @@ def test_simulate_rejects_bad_thinning_window(tmp_path, capsys, deadline, window
     assert not out.exists()
 
 
+def _explosive(raw):
+    raw.update(states=[1, 2], absorbing=[], rates={"1->2": "1e6", "2->1": "1e6"})
+    raw["censoring"] = {"law": "fixed", "value": 1.0}
+
+
+def _spiking(raw):
+    # peaks at 11 near t = 0.1, between the probes the thinning majorant is built on
+    raw["rates"]["1->2"] = "1 + 1000*max(0, 0.01 - abs(t - 0.1))"
+    raw["n"] = 200
+
+
+@pytest.mark.parametrize(
+    "mutate,needle",
+    [
+        (_explosive, "error: path exceeded 100000 jumps; rates look explosive"),
+        (_spiking, "error: majorant violated at t=0.1"),
+    ],
+    ids=["explosive", "majorant"],
+)
+def test_simulate_sampler_failures_exit_1(tmp_path, capsys, deadline, mutate, needle):
+    raw = default_scenario_json(n=1, seed=1)
+    mutate(raw)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    with deadline(10):
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(needle)
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_tiny_thinning_window_exits_1(tmp_path, capsys, deadline):
+    raw = default_scenario_json(n=1, seed=1)
+    raw["rates"] = {k: f"{v} + 0*t" for k, v in raw["rates"].items()}
+    raw["thinning_window"] = 1e-300
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    with deadline(10):
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'thinning_window' 1e-300 is too small" in err.splitlines()[-1]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("rates", None), ("rates", "1->2"), ("covariates", None), ("covariates", 3),
+     ("censoring", None), ("censoring", ["exponential"])],
+)  # fmt: skip
+def test_simulate_rejects_wrong_collection_fields(tmp_path, capsys, field, value):
+    raw = default_scenario_json(n=5, seed=1)
+    raw[field] = value
+    scenario = tmp_path / "bad_field.json"
+    scenario.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"error: scenario field '{field}' must be")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_fit_writes_expected_files(workspace):
     out = workspace / "fit"
     code = main(

@@ -37,6 +37,7 @@ from condaalen.data import (
 from condaalen.estimators import (
     HazardEstimate,
     OccupationEstimate,
+    _slice_sum,
     aalen_johansen,
     fit,
     nelson_aalen,
@@ -147,6 +148,12 @@ def test_occupation_covariance_matches_per_subject_gram(case):
         np.testing.assert_allclose(surfaces[s].values, literal, rtol=1e-12, atol=atol)
 
 
+def _same_bits(a, b):
+    """Equal shapes and equal bits, so 0.0 and -0.0 differ and NaN equals NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def _stepwise_occupation(hazard, initial):
     """The recursion one grid step at a time, skipping steps with dA = 0."""
     inc = hazard.hazard.increments()
@@ -167,7 +174,15 @@ def test_aalen_johansen_matches_stepwise_recursion(case):
     r = fit(sample, x, spec, explicit_bandwidth=bandwidth, epsilon=epsilon)
     initial = r.hazard.initial_exposure()
     occ = aalen_johansen(r.hazard, initial)
-    assert np.array_equal(occ.values, _stepwise_occupation(r.hazard, initial))
+    assert _same_bits(occ.values, _stepwise_occupation(r.hazard, initial))
+
+
+def _hazard(cumulative):
+    """Hazard estimate with these cumulative values on times 1, 2, ..."""
+    cumulative = np.asarray(cumulative, dtype=float).reshape(-1, 3, 3)
+    times = np.arange(1.0, len(cumulative) + 1.0)
+    counts = StepMatrix(times, np.zeros_like(cumulative))
+    return HazardEstimate(StepMatrix(times, cumulative), 1e-4, {}, counts, {}, SPACE.states)
 
 
 def _generator_steps(rates):
@@ -175,35 +190,56 @@ def _generator_steps(rates):
     inc = np.array(rates, dtype=float).reshape(-1, 3, 3)
     diag = np.arange(3)
     inc[:, diag, diag] = -inc.sum(axis=2)
-    times = np.arange(1.0, len(inc) + 1.0)
-    hazard = StepMatrix(times, np.cumsum(inc, axis=0))
-    counts = StepMatrix(times, np.zeros((len(inc), 3, 3)))
-    return HazardEstimate(hazard, 1e-4, {}, counts, {}, SPACE.states)
+    return _hazard(np.cumsum(inc, axis=0))
 
 
-LIVE = [[0.0, 0.2, 0.1], [0.0, 0.0, 0.3], [0.0, 0.0, 0.0]]
+LIVE = [[0.0, 0.2, 0.1], [0.0, 0.0, 0.3], [0.0, 0.0, 0.0]]  # two source rows: a tie
+FROM_1 = [[0.0, 0.2, 0.1], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]  # one source, two targets
+FROM_2 = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.3], [0.0, 0.0, 0.0]]
+FROM_3 = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]
 DEAD = np.zeros((3, 3))
+START = np.array([0.6, 0.3, 0.1])
 
 
 @pytest.mark.parametrize(
-    "steps",
+    "steps,initial",
     [
-        [DEAD] * 4,  # nothing moves: the occupation stays at initial
-        [DEAD, DEAD, LIVE, DEAD, LIVE],  # leading zero steps
-        [DEAD, DEAD, DEAD, LIVE],  # only the last step is live
-        [LIVE, LIVE, DEAD, LIVE],
+        ([DEAD] * 4, START),  # nothing moves: the occupation stays at initial
+        ([DEAD, DEAD, LIVE, DEAD, LIVE], START),  # leading zero steps
+        ([DEAD, DEAD, DEAD, LIVE], START),  # only the last step is live
+        ([LIVE, LIVE, DEAD, LIVE], START),
+        ([FROM_1, FROM_2, DEAD, FROM_1, FROM_3, FROM_2], START),
+        ([FROM_2, FROM_1, LIVE, FROM_3, FROM_1], START),
+        # state 2 is empty when its row moves: p_j = 0
+        ([FROM_3, FROM_2, FROM_1, FROM_2], np.array([0.7, 0.0, 0.3])),
+        # a -0.0 entry stays until the first live step, which leaves it +0.0
+        ([DEAD, FROM_3, DEAD, FROM_1], np.array([0.6, -0.0, 0.4])),
+        ([DEAD] * 3, np.array([0.6, -0.0, 0.4])),
     ],
-    ids=["all-zero", "leading-zero", "live-last", "mixed"],
-)
-def test_aalen_johansen_hand_cases(steps):
+    ids=["all-zero", "leading-zero", "live-last", "mixed", "single-source",
+         "single-and-tie", "empty-source", "negative-zero", "negative-zero-dead"],
+)  # fmt: skip
+def test_aalen_johansen_hand_cases(steps, initial):
     hazard = _generator_steps(steps)
-    initial = np.array([0.6, 0.3, 0.1])
     occ = aalen_johansen(hazard, initial)
     expected = _stepwise_occupation(hazard, initial)
-    assert np.array_equal(occ.values, expected)
+    assert _same_bits(occ.values, expected)
     live = [i for i, step in enumerate(steps) if np.any(step)]
     first = live[0] if live else len(steps)
-    assert np.array_equal(occ.values[:first], np.tile(initial, (first, 1)))
+    assert _same_bits(occ.values[:first], np.tile(initial, (first, 1)))
+
+
+def test_aalen_johansen_zero_diagonal_increment():
+    # the 1->2 rate is too small to move the diagonal's cumulative value, so the
+    # live step at time 2 has dA_12 > 0 but dA_11 = 0
+    rest = [[0.0] * 3, [0.0] * 3]
+    hazard = _hazard([[[-0.5, 0.0, 0.5], *rest], [[-0.5, 1e-20, 0.5], *rest]])
+    inc = hazard.hazard.increments()
+    assert inc[1, 0, 0] == 0.0 and inc[1, 0, 1] > 0.0
+    initial = np.array([0.6, 0.0, 0.4])
+    occ = aalen_johansen(hazard, initial)
+    assert _same_bits(occ.values, _stepwise_occupation(hazard, initial))
+    assert occ.values[0, 1] == 0.0 < occ.values[1, 1]
 
 
 def test_aalen_johansen_empty_grid():
@@ -256,12 +292,6 @@ def _literal_nelson_aalen(sample, w, epsilon):
     )
 
 
-def _same_bits(a, b):
-    """Equal shapes and equal bits, so 0.0 and -0.0 differ and NaN equals NaN."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 def _assert_hazard_bits(sample, weights, epsilon):
     got = nelson_aalen(sample, weights, epsilon)
     want = _literal_nelson_aalen(sample, weights.weights, epsilon)
@@ -283,6 +313,18 @@ def test_nelson_aalen_matches_helper_chain(case):
     _assert_hazard_bits(sample, nw_weights(sample, x, spec, bandwidth), epsilon)
 
 
+@pytest.mark.parametrize("size", [3, 7, 8, 12])
+@pytest.mark.parametrize("axis", [1, 2])
+def test_slice_sum_matches_numpy_sum_bits(axis, size):
+    rng = np.random.default_rng(7)
+    shape = (20000 * 9 // size**2, size, size)
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    cell = rng.random(a.shape)
+    a[cell < 0.3] = 0.0
+    a[(0.3 <= cell) & (cell < 0.5)] = -0.0  # all-signed-zero sums come out +0.0
+    assert _same_bits(_slice_sum(a, axis), a.sum(axis=axis))
+
+
 @pytest.fixture(scope="module")
 def default_3000():
     sc = default_scenario(n=3000, seed=11)
@@ -294,6 +336,17 @@ def default_3000():
 def test_nelson_aalen_matches_helper_chain_at_n3000(default_3000, coord, epsilon):
     weights = fit(default_3000, (coord,), epsilon=epsilon).weights
     _assert_hazard_bits(default_3000, weights, epsilon)
+
+
+@pytest.mark.parametrize("coord", [0.1, 0.5, 0.9])
+def test_aalen_johansen_matches_stepwise_recursion_at_n3000(default_3000, coord):
+    hazard = fit(default_3000, (coord,)).hazard
+    inc = hazard.hazard.increments()
+    # continuous times: every live step moves one source row
+    assert (np.count_nonzero(inc.any(axis=2), axis=1) <= 1).all()
+    initial = hazard.initial_exposure()
+    occ = aalen_johansen(hazard, initial)
+    assert _same_bits(occ.values, _stepwise_occupation(hazard, initial))
 
 
 # --- CLI writers against the literal csv.writer / json.dump loops ---------

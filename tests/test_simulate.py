@@ -295,6 +295,69 @@ def test_scenario_integer_fields_must_be_integers(field, value):
     assert type(info.value) is ValueError
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("rates", None),
+        ("rates", "1->2"),
+        ("rates", [["1->2", "0.8"]]),
+        ("covariates", None),
+        ("covariates", 3),
+        ("covariates", {"law": "uniform"}),
+        ("censoring", None),
+        ("censoring", "exponential"),
+        ("censoring", [1]),
+    ],
+)
+def test_scenario_collection_fields_must_be_collections(field, value):
+    raw = _scenario_dict(**{field: value})
+    with pytest.raises(ValueError, match=f"scenario field '{field}' must be") as info:
+        load_scenario(raw)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize(
+    "mutate,needle",
+    [
+        (
+            lambda d: d.update(covariates=[None]),
+            "scenario field 'covariates' must hold law objects",
+        ),
+        (
+            lambda d: d["covariates"][0].update(low=None),
+            "uniform law needs a number 'low', got None",
+        ),
+        (
+            lambda d: d.update(covariates=[{"law": "normal", "mean": 0.0, "sd": [1]}]),
+            r"normal law needs a number 'sd', got \[1\]",
+        ),
+        (
+            lambda d: d.update(censoring={"law": "uniform", "low": {}, "high": 2.0}),
+            "uniform law needs a number 'low'",
+        ),
+        (
+            lambda d: d.update(censoring={"law": "fixed", "value": None}),
+            "fixed law needs a number 'value'",
+        ),
+    ],
+    ids=["law-null", "uniform-low", "normal-sd", "censoring-low", "censoring-value"],
+)
+def test_scenario_law_parameters_must_be_numbers(mutate, needle):
+    raw = _scenario_dict()
+    mutate(raw)
+    with pytest.raises(ValueError, match=needle) as info:
+        load_scenario(raw)
+    assert type(info.value) is ValueError
+
+
+def test_tiny_thinning_window_is_bounded(deadline):
+    # a positive window so small that a path would need ~1e300 of them
+    raw = _scenario_dict(rates={"1->2": "0.8*(1+x1) + 0*t"}, thinning_window=1e-300)
+    sc = load_scenario(raw)
+    with deadline(10), pytest.raises(ValueError, match="'thinning_window' 1e-300 is too small"):
+        simulate_path(sc["intensity"], sc["censoring"], 1, 0)
+
+
 def test_scenario_from_file(tmp_path):
     f = tmp_path / "scen.json"
     f.write_text(json.dumps(default_scenario_json(n=7, seed=2)))
