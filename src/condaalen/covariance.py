@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ABSORBED, Sample, counting_increments
-from .estimators import HazardEstimate, OccupationEstimate
+from .estimators import HazardEstimate, OccupationEstimate, _generator
 from .kernels import WeightVector
 from .stepfun import StepCurve
 
@@ -255,14 +255,6 @@ def zeta_values(
     keep = np.column_stack([own, np.ones_like(own)])
     np.add.at(out, np.repeat(tab.soj_subj[stay], 2)[keep.ravel()], steps[keep])
     return np.sqrt(phi) * out
-
-
-def _generator(off: np.ndarray) -> np.ndarray:
-    """Set the diagonal of each ``(S, S)`` slice to its negative off-diagonal row sum."""
-    diag = np.arange(off.shape[-1])
-    off[..., diag, diag] = 0.0
-    off[..., diag, diag] = -off.sum(axis=-1)
-    return off
 
 
 def gamma_values(

@@ -130,6 +130,14 @@ def _slice_sum(a: np.ndarray, axis: int) -> np.ndarray:
     return total
 
 
+def _generator(off: np.ndarray) -> np.ndarray:
+    """Set the diagonal of each ``(S, S)`` slice to its negative off-diagonal row sum."""
+    diag = np.arange(off.shape[-1])
+    off[..., diag, diag] = 0.0
+    off[..., diag, diag] = -_slice_sum(off, off.ndim - 1)
+    return off
+
+
 def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> HazardEstimate:
     """Conditional cumulative hazard under conditioning ``weights``.
 
@@ -179,9 +187,7 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
 
     d_hazard = d_counts  # divided in place: one (m, S, S) array fewer at the peak
     d_hazard /= np.maximum(expo_left, epsilon)[:, :, None]
-    diag = np.arange(size)
-    d_hazard[:, diag, diag] = 0.0
-    d_hazard[:, diag, diag] = -_slice_sum(d_hazard, 2)
+    _generator(d_hazard)
 
     return HazardEstimate(
         hazard=StepMatrix(grid, np.cumsum(d_hazard, axis=0)),

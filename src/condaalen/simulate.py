@@ -16,9 +16,10 @@ below consume them. A path is a function of ``(seed, index)`` alone.
 The streams are exactly those, but numpy does not build them. The entropy
 is the ``uint32`` words ``SeedSequence`` makes of that list: each integer
 split into 32-bit little-endian words, 0 as one word (:func:`_words`).
-:func:`_pcg64_states` turns rows of such words into PCG64 states in one
-vectorised pass: ``SeedSequence``'s hash of the words into four
-``uint64``, then PCG64's seeding step, both fixed integer arithmetic.
+:func:`_generate_state` runs ``SeedSequence``'s hash of rows of such
+words into four ``uint64`` each, in one vectorised pass; :func:`_load`
+runs PCG64's seeding step on one row, numpy's 128-bit formula in Python
+ints, and loads the state into a generator.
 :func:`simulate_sample` seeds its subjects in chunks this way and loads
 each subject's two states into two reused generators, so no generator is
 constructed per subject; :func:`simulate_path` seeds its one subject the
@@ -171,6 +172,11 @@ class IntensitySpec:
     def __post_init__(self):
         if self.kind not in (MARKOV, SEMI_MARKOV):
             raise ValueError(f"unknown kind {self.kind!r}")
+        if self.initial_state not in self.state_space.states:
+            raise ValueError(
+                f"initial state {self.initial_state} is not one of the states "
+                f"{self.state_space.states}"
+            )
         if self.initial_state in self.state_space.absorbing:
             raise ValueError("initial state must not be absorbing")
 
@@ -321,9 +327,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
-# PCG64's 128-bit LCG multiplier, as 32-bit limbs, least significant first
-_PCG_MULT = [np.uint64(0x2360ED051FC65DA44385DF649FCCF645 >> 32 * i & 0xFFFFFFFF) for i in range(4)]
-_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 # subjects seeded per pass of simulate_sample
 _CHUNK = 1024
 
@@ -346,24 +351,13 @@ def _mix(x, y):
     return value ^ (value >> _XSHIFT)
 
 
-def _carry(limbs):
-    """Sums of 32-bit limbs, held in ``uint64``, carried into limbs mod 2**128."""
-    out, carry = [], 0
-    for limb in limbs:
-        limb = limb + carry
-        out.append(limb & _LOW32)
-        carry = limb >> _SHIFT32
-    return out
-
-
-def _pcg64_states(entropy) -> np.ndarray:
-    """The PCG64 state ``default_rng(row)`` starts from, for each row of ``entropy``.
+def _generate_state(entropy) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for each row of ``entropy``.
 
     ``entropy`` is an (N, L) ``uint32`` array of ``SeedSequence`` entropy
-    words. Returns an (N, 4) ``uint64`` array of the 128-bit ``state`` and
-    ``inc`` as (state high, state low, inc high, inc low). This is
-    ``SeedSequence(row).generate_state(4, np.uint64)`` and PCG64's
-    ``srandom`` step, vectorised over rows in wrapping integer arithmetic.
+    words. Returns the (N, 4) ``uint64`` words v0..v3: O'Neill's
+    ``seed_seq_fe`` hash, vectorised over rows in wrapping ``uint32``
+    arithmetic.
     """
     entropy = np.asarray(entropy, dtype=np.uint32)
     rows, length = entropy.shape
@@ -380,37 +374,24 @@ def _pcg64_states(entropy) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
     hashmix = _hashmix(_INIT_B, _MULT_B)
-    # eight 32-bit words, pairs of them the uint64 words v0..v3 (low word first)
     w = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    # initstate = v0 << 64 | v1 and inc = (v2 << 64 | v3) << 1 | 1, as limbs
-    initstate = [w[2], w[3], w[0], w[1]]
-    seq = [w[6], w[7], w[4], w[5]]
-    inc = [(seq[0] << np.uint64(1) | np.uint64(1)) & _LOW32] + [
-        (seq[i] << np.uint64(1) | seq[i - 1] >> np.uint64(31)) & _LOW32 for i in range(1, 4)
-    ]
-    # state = ((inc + initstate) * M + inc) mod 2**128
-    a = _carry([x + y for x, y in zip(inc, initstate)])
-    acc = [np.zeros(rows, np.uint64) for _ in range(4)]
-    for i in range(4):
-        for j in range(4 - i):
-            product = a[i] * _PCG_MULT[j]
-            acc[i + j] += product & _LOW32
-            if i + j < 3:
-                acc[i + j + 1] += product >> _SHIFT32
-    state = _carry([x + y for x, y in zip(acc, inc)])
-    return np.stack(
-        [state[2] | state[3] << _SHIFT32, state[0] | state[1] << _SHIFT32,
-         inc[2] | inc[3] << _SHIFT32, inc[0] | inc[1] << _SHIFT32],
-        axis=1,
-    )
+    # numpy pairs the eight uint32 words low word first, whatever the byte order
+    return np.stack([w[i] | w[i + 1] << np.uint64(32) for i in range(0, 8, 2)], axis=1)
 
 
 def _load(bit_generator, row) -> None:
-    """Put ``bit_generator`` (a PCG64) where ``default_rng`` starts the stream of a states row."""
-    state_hi, state_lo, inc_hi, inc_lo = row
+    """Seed ``bit_generator`` (a PCG64) from a row v0..v3 of :func:`_generate_state`.
+
+    This is PCG64's seeding step (numpy's ``pcg64_set_seed``) in Python
+    ints: ``initstate = v0 << 64 | v1``, ``inc = (v2 << 64 | v3) << 1 | 1``
+    and ``state = (inc + initstate) * M + inc``, all mod 2**128.
+    """
+    v0, v1, v2, v3 = row
+    inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
+    state = (((v0 << 64 | v1) + inc) * _PCG_MULT + inc) & _MASK128
     bit_generator.state = {
         "bit_generator": "PCG64",
-        "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+        "state": {"state": state, "inc": inc},
         "has_uint32": 0,
         "uinteger": 0,
     }
@@ -441,7 +422,7 @@ def simulate_path(intensity: IntensitySpec, censoring, seed, index: int) -> Obse
     ``censoring(rng, x)`` draws the subject's positive censoring time.
     """
     key = _words(seed) + _words(index)
-    states = _pcg64_states(np.array([key + [0], key + [1]], dtype=np.uint32)).tolist()
+    states = _generate_state(np.array([key + [0], key + [1]], dtype=np.uint32)).tolist()
     rngs = []
     for row in states:
         bit_generator = np.random.PCG64(0)
@@ -472,7 +453,7 @@ def simulate_sample(
         entropy[:, :, :-2] = key
         entropy[:, :, -2] = index[:, None]
         entropy[:, :, -1] = (0, 1)
-        states = _pcg64_states(entropy.reshape(2 * len(index), -1)).tolist()
+        states = _generate_state(entropy.reshape(2 * len(index), -1)).tolist()
         for row_jump, row_cens in zip(states[::2], states[1::2]):
             _load(jump, row_jump)
             _load(cens, row_cens)
@@ -582,20 +563,6 @@ def brute_force_estimator(
     grid = sorted(times)
     m = len(grid)
 
-    def state_at(p: ObservedPath, t: float) -> int:
-        s = p.initial_state
-        for jt, js in p.jumps:
-            if jt <= t:
-                s = js
-        return s
-
-    def state_strictly_before(p: ObservedPath, t: float) -> int:
-        s = p.initial_state
-        for jt, js in p.jumps:
-            if jt < t:
-                s = js
-        return s
-
     def counts_at(t: float) -> np.ndarray:
         c = np.zeros((size, size))
         for wl, p in zip(w, sample.paths):
@@ -611,7 +578,7 @@ def brute_force_estimator(
         for wl, p in zip(w, sample.paths):
             under_observation = p.end_reason == ABSORBED or t < p.end_time
             if under_observation:
-                e[index[state_at(p, t)]] += wl
+                e[index[p.state_at(t)]] += wl
         return e
 
     def exposure_left_at(t: float) -> np.ndarray:
@@ -619,7 +586,7 @@ def brute_force_estimator(
         for wl, p in zip(w, sample.paths):
             under_observation = p.end_reason == ABSORBED or t <= p.end_time
             if under_observation:
-                e[index[state_strictly_before(p, t)]] += wl
+                e[index[p.state_before(t)]] += wl
         return e
 
     def censoring_at(t: float) -> np.ndarray:
@@ -821,6 +788,9 @@ def load_scenario(source) -> dict:
         kind = raw.get("kind", MARKOV)
         initial = _integer(raw["initial_state"], "initial_state")
         laws = _collection(raw["covariates"], "covariates", (list, tuple), "a list of laws")
+        if not laws:
+            # a sample without covariate columns is one load_sample refuses
+            raise ValueError("scenario field 'covariates' needs at least one law")
         dim = len(laws)
         rate_exprs = _collection(raw["rates"], "rates", dict, "an object of rate expressions")
         censoring_law = _collection(raw["censoring"], "censoring", dict, "a law object")
@@ -846,6 +816,9 @@ def load_scenario(source) -> dict:
             raise ValueError(f"bad rate key {key!r}, expected 'j->k'") from None
         if j not in states or k not in states or j == k:
             raise ValueError(f"bad rate key {key!r} for states {states}")
+        if j in absorbing:
+            # both samplers stop at absorption, so the rate would be ignored
+            raise ValueError(f"rate {j}->{k} leaves absorbing state {j}")
         fn, used = compile_expression(str(expr), dim)
         if "duration" in used and kind == MARKOV:
             raise ValueError(f"rate {j}->{k} reads duration, which needs kind {SEMI_MARKOV!r}")

@@ -188,6 +188,30 @@ def test_simulate_rejects_wrong_collection_fields(tmp_path, capsys, field, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "mutate,needle",
+    [
+        (lambda raw: raw.update(initial_state=7), "initial state 7 is not one of the states"),
+        (lambda raw: raw["rates"].update({"3->1": "5.0"}), "rate 3->1 leaves absorbing state 3"),
+        (
+            lambda raw: raw.update(covariates=[], rates={"1->2": "0.8", "2->3": "0.6"}),
+            "scenario field 'covariates' needs at least one law",
+        ),
+    ],
+    ids=["unknown-initial-state", "rate-out-of-absorbing", "no-covariates"],
+)
+def test_simulate_rejects_scenario_it_would_misrepresent(tmp_path, capsys, mutate, needle):
+    raw = default_scenario_json(n=5, seed=1)
+    mutate(raw)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {needle}")
+    assert not out.exists()
+
+
 def test_fit_writes_expected_files(workspace):
     out = workspace / "fit"
     code = main(

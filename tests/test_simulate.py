@@ -379,6 +379,14 @@ def test_scenario_from_file(tmp_path):
         (lambda d: d.update(censoring={"law": "gamma"}), "censoring law"),
         (lambda d: d.update(covariates=[{"law": "beta"}]), "covariate law"),
         (lambda d: d.update(kind="hidden"), "kind"),
+        # each of these would load and simulate, writing a sample the scenario
+        # does not describe or that fit cannot read
+        (lambda d: d.update(initial_state=7), "initial state 7 is not one of the states"),
+        (lambda d: d["rates"].update({"3->1": "5.0"}), "rate 3->1 leaves absorbing state 3"),
+        (
+            lambda d: d.update(covariates=[], rates={"1->2": "0.8", "2->3": "0.6"}),
+            "scenario field 'covariates' needs at least one law",
+        ),
     ],
 )
 def test_scenario_rejects_malformed(mangle, needle):
@@ -421,6 +429,18 @@ def test_intensity_spec_rejects_absorbing_start():
             covariate_law=lambda rng: (0.5,),
             state_space=space,
             initial_state=2,
+        )
+
+
+def test_initial_state_must_be_a_state():
+    space = StateSpace((1, 2, 3), frozenset({3}))
+    with pytest.raises(ValueError, match=r"initial state 7 is not one of the states \(1, 2, 3\)"):
+        IntensitySpec(
+            kind=MARKOV,
+            rate=lambda j, k, t, d, x: 1.0,
+            covariate_law=lambda rng: (0.5,),
+            state_space=space,
+            initial_state=7,
         )
 
 

@@ -30,8 +30,8 @@ from condaalen.simulate import (
     IntensitySpec,
     _choice_cdf,
     _choose,
+    _generate_state,
     _load,
-    _pcg64_states,
     _words,
     compile_expression,
     default_scenario_json,
@@ -290,7 +290,7 @@ def test_batched_states_are_default_rng_states():
     assert sorted(by_length) == [3, 4, 5, 6]
     for group in by_length.values():
         # one call per word length, as simulate_sample seeds a chunk
-        rows = _pcg64_states(np.array([words for _, words in group], dtype=np.uint32))
+        rows = _generate_state(np.array([words for _, words in group], dtype=np.uint32))
         assert rows.dtype == np.uint64 and rows.shape == (len(group), 4)
         for (key, _), row in zip(group, rows.tolist()):
             want = np.random.default_rng(list(key))
@@ -298,6 +298,22 @@ def test_batched_states_are_default_rng_states():
             assert got.bit_generator.state == want.bit_generator.state, key
             for a, b in zip(_draws(got), _draws(want)):
                 assert np.array_equal(a, b), key
+
+
+def test_generate_state_is_seed_sequence():
+    keys = [(seed, index, k) for seed in SEEDS for index in INDICES for k in (0, 1)]
+    by_length: dict[int, list] = {}
+    for key in keys:
+        words = _words(key[0]) + _words(key[1]) + [key[2]]
+        by_length.setdefault(len(words), []).append(words)
+    # rows of 5 and 6 words, longer than the pool of 4, run the extra mixing loop
+    assert sorted(by_length) == [3, 4, 5, 6]
+    for group in by_length.values():
+        rows = _generate_state(np.array(group, dtype=np.uint32))
+        assert rows.dtype == np.uint64 and rows.shape == (len(group), 4)
+        for words, row in zip(group, rows):
+            want = np.random.SeedSequence(words).generate_state(4, np.uint64)
+            assert np.array_equal(row, want), words
 
 
 def test_reused_generators_start_each_subject_fresh():
