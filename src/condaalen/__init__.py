@@ -23,7 +23,6 @@ from .data import (
     Sample,
     StateSpace,
     ValidationError,
-    counting_increments,
     load_sample,
     validate,
     write_sample,
@@ -85,7 +84,6 @@ __all__ = [
     "bandwidth",
     "brute_force_estimator",
     "compile_expression",
-    "counting_increments",
     "default_scenario",
     "default_scenario_json",
     "default_surface_grid",

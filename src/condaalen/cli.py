@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from .covariance import default_surface_grid, hazard_covariance, occupation_covariance
-from .data import ParseError, Sample, ValidationError, _fmt, load_sample, write_sample
+from .data import Sample, _fmt, load_sample, write_sample
 from .estimators import FitResult, fit
 from .kernels import KernelSpec, NoKernelMass
 # simulate_path is unused here, but bench/run.py wraps cli.simulate_path by name
@@ -484,7 +484,7 @@ def main(argv=None) -> int:
     except NoKernelMass as err:
         print(f"error: {err}", file=sys.stderr)
         return _EXIT_NO_MASS
-    except (ParseError, ValidationError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return _EXIT_ERROR
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ABSORBED, Sample, counting_increments
+from .data import ABSORBED, Sample
 from .estimators import HazardEstimate, OccupationEstimate, _generator
 from .kernels import WeightVector
 from .stepfun import StepCurve
@@ -62,23 +62,6 @@ class CovarianceSurface:
         object.__setattr__(self, "values", v)
 
 
-def _subject_left_indicator(path, grid: np.ndarray, states: tuple[int, ...]) -> np.ndarray:
-    """Left limit of one subject's own exposure indicator, shape (m, S)."""
-    m, size = len(grid), len(states)
-    out = np.zeros((m, size))
-    if m == 0:
-        return out
-    jump_times = np.array([t for t, _ in path.jumps])
-    seq = [path.initial_state] + [s for _, s in path.jumps]
-    pos = np.searchsorted(jump_times, grid, side="left")
-    state_before = np.array([states.index(seq[i]) for i in pos])
-    observed = np.ones(m, dtype=bool)
-    if path.end_reason != ABSORBED:
-        observed = grid <= path.end_time
-    out[np.arange(m)[observed], state_before[observed]] = 1.0
-    return out
-
-
 def _zeta_increments(sample, hazard: HazardEstimate, phi: float, subject: int) -> np.ndarray:
     grid = hazard.times
     states = hazard.states
@@ -91,11 +74,11 @@ def _zeta_increments(sample, hazard: HazardEstimate, phi: float, subject: int) -
     above = expo_left > hazard.epsilon
 
     d_subj = np.zeros((m, size, size))
-    for t, j, k in counting_increments(path):
-        if t > path.end_time:
-            continue
-        pos = int(np.searchsorted(grid, t))
-        d_subj[pos, index[j], index[k]] += 1.0
+    prev = path.initial_state
+    for t, state in path.jumps:
+        if t <= path.end_time:
+            d_subj[int(np.searchsorted(grid, t)), index[prev], index[state]] += 1.0
+        prev = state
 
     d_counts = hazard.counts.increments()
     d_haz = hazard.hazard.increments()
@@ -103,7 +86,11 @@ def _zeta_increments(sample, hazard: HazardEstimate, phi: float, subject: int) -
     d_haz = d_haz.copy()
     d_haz[:, diag, diag] = 0.0
 
-    y_left = _subject_left_indicator(path, grid, states)
+    # the subject's own exposure indicator, left limit
+    y_left = np.zeros((m, size))
+    for i, t in enumerate(grid):
+        if path.end_reason == ABSORBED or t <= path.end_time:
+            y_left[i, index[path.state_before(t)]] = 1.0
     coef = np.zeros((m, size))
     np.divide(y_left - expo_left, expo_left, out=coef, where=above)
     coef[~above] = 0.0

@@ -44,16 +44,6 @@ class StateSpace:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "absorbing", absorbing)
 
-    @property
-    def size(self) -> int:
-        return len(self.states)
-
-    def index(self, state: int) -> int:
-        try:
-            return self.states.index(state)
-        except ValueError:
-            raise KeyError(f"unknown state label {state}") from None
-
 
 @dataclass(frozen=True)
 class ObservedPath:
@@ -210,21 +200,6 @@ class EventTable:
         return table
 
 
-def counting_increments(path: ObservedPath) -> list[tuple[float, int, int]]:
-    """Enumerate the jump increments of a path as ``(time, from, to)``.
-
-    >>> p = ObservedPath((0.0,), 1, ((0.5, 2), (0.9, 1), (1.4, 2)), 1.4, ABSORBED)
-    >>> counting_increments(p)
-    [(0.5, 1, 2), (0.9, 2, 1), (1.4, 1, 2)]
-    """
-    out = []
-    current = path.initial_state
-    for time, new in path.jumps:
-        out.append((time, current, new))
-        current = new
-    return out
-
-
 def validate(sample: Sample, labels=None) -> list[str]:
     """Check every path invariant; returns violation messages, empty if clean.
 
@@ -288,19 +263,21 @@ def load_sample(path) -> Sample:
     Parameters
     ----------
     path : str or pathlib.Path
-        CSV file with a header row.
+        UTF-8 CSV file with a header row, a leading byte-order mark allowed.
 
     Raises
     ------
     ParseError
         Malformed rows, non-finite times or covariates, duplicate
-        (id, time) pairs, missing or repeated columns.
+        (id, time) pairs, missing or repeated columns, cells longer than
+        ``csv.field_size_limit()``.
     ValidationError
         Parsed paths that violate the path invariants, each named by its
         subject id and the line of its time-0 row.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    # utf-8-sig drops the byte-order mark spreadsheet exports put before the header
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = _rows(csv.reader(handle))
         try:
             header = next(reader)
         except StopIteration:
@@ -412,6 +389,14 @@ def load_sample(path) -> Sample:
     if problems:
         raise ValidationError("; ".join(problems))
     return sample
+
+
+def _rows(reader):
+    """The rows of a ``csv.reader``, its errors as :class:`ParseError` naming the line."""
+    try:
+        yield from reader
+    except csv.Error as err:
+        raise ParseError(f"line {reader.line_num}: {err}") from None
 
 
 def _fmt(value: float) -> str:

@@ -98,7 +98,20 @@ def compile_expression(text: str, dim: int):
 
     The callable takes ``(t, duration, x)`` with ``x`` a coordinate
     sequence. Returns the callable and the set of variable names used.
+    Integer constants are read as floats, so ``**`` overflows instead of
+    building a huge integer.
     """
+    try:
+        return _compile(text, dim)
+    except (MemoryError, RecursionError, OverflowError):
+        # the parser, the rewrite and the compiler recurse once per nesting
+        # level; a float constant overflows above 1.8e308
+        raise ExpressionError(
+            f"expression too deep or too large to compile: {text[:80]!r}"
+        ) from None
+
+
+def _compile(text: str, dim: int):
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as err:
@@ -120,8 +133,8 @@ def compile_expression(text: str, dim: int):
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
             raise ExpressionError(f"non-numeric constant in {text!r}")
     # lambda t, duration, x: float(<expression>), with ``x`` and ``xi`` read
-    # as x[0] and x[i - 1]: the arithmetic nodes, hence every bit, are the
-    # checked expression's own
+    # as x[0] and x[i - 1] and integer constants as floats: the arithmetic
+    # nodes are the checked expression's own
     body = _Coordinates().visit(tree.body)
     params = ast.arguments(
         posonlyargs=[],
@@ -139,7 +152,10 @@ def compile_expression(text: str, dim: int):
 
 
 class _Coordinates(ast.NodeTransformer):
-    """Rewrites the covariate names ``x`` and ``xi`` as ``x[0]`` and ``x[i - 1]``."""
+    """Rewrites ``x`` and ``xi`` as ``x[0]`` and ``x[i - 1]``, and integer constants as floats."""
+
+    def visit_Constant(self, node: ast.Constant):
+        return ast.copy_location(ast.Constant(float(node.value)), node)
 
     def visit_Name(self, node: ast.Name):
         if node.id == "x" or (node.id[:1] == "x" and node.id[1:].isdigit()):
@@ -531,7 +547,6 @@ def brute_force_estimator(
     ordered matrix product per time point. Deliberately quadratic; keep
     samples small.
     """
-    n = len(sample)
     states = sample.state_space.states
     size = len(states)
     index = {s: i for i, s in enumerate(states)}
@@ -589,20 +604,8 @@ def brute_force_estimator(
                 e[index[p.state_before(t)]] += wl
         return e
 
-    def censoring_at(t: float) -> np.ndarray:
-        c = np.zeros(size)
-        for wl, p in zip(w, sample.paths):
-            if p.end_reason == CENSORED and p.end_time <= t:
-                c[index[p.final_state]] += wl
-        return c
-
     counts_values = np.array([counts_at(t) for t in grid]).reshape(m, size, size)
     counts = StepMatrix(np.array(grid), counts_values)
-
-    cens_values = np.array([censoring_at(t) for t in grid]).reshape(m, size)
-    censoring = {
-        s: StepCurve(np.array(grid), cens_values[:, i], 0.0) for i, s in enumerate(states)
-    }
 
     initial = exposure_at(0.0)
     exposure_values = np.array([exposure_at(t) for t in grid]).reshape(m, size)
@@ -780,7 +783,12 @@ def load_scenario(source) -> dict:
         raw = source
     else:
         with open(source, encoding="utf-8") as handle:
-            raw = json.load(handle)
+            try:
+                raw = json.load(handle)
+            except RecursionError:
+                raise ValueError("scenario JSON is nested too deeply") from None
+        if not isinstance(raw, dict):
+            raise ValueError(f"scenario must be a JSON object, got {type(raw).__name__}")
     try:
         states = tuple(_integers(raw["states"], "states"))
         absorbing = frozenset(_integers(raw.get("absorbing", []), "absorbing"))

@@ -1,9 +1,13 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import condaalen
 from condaalen import checks
 from condaalen.checks import _floor_sample
 from condaalen.cli import _write_surface, main
@@ -212,6 +216,55 @@ def test_simulate_rejects_scenario_it_would_misrepresent(tmp_path, capsys, mutat
     assert not out.exists()
 
 
+_DEEP_RATE = {"1->2": "+".join(["x1"] * 900)}
+_UNARY_RATE = {"1->2": "-" * 100_000 + "1"}
+
+
+@pytest.mark.parametrize(
+    "text, needle",
+    [
+        ("[" * 100_000 + "]" * 100_000, "error: scenario JSON is nested too deeply"),
+        (json.dumps({**default_scenario_json(), "rates": _DEEP_RATE}), "error: expression too deep"),
+        (json.dumps({**default_scenario_json(), "rates": _UNARY_RATE}), "error: expression too deep"),
+    ],
+    ids=["deep-document", "900-term-rate", "deep-unary-rate"],
+)
+def test_simulate_refuses_scenario_outside_contract(tmp_path, capsys, text, needle):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(needle), lines
+    assert not out.exists()
+
+
+# runs cli.main in a fresh interpreter with the package's directory on sys.path
+_MAIN = (
+    "import sys; sys.path.insert(0, sys.argv[1]); "
+    "from condaalen.cli import main; sys.exit(main(sys.argv[2:]))"
+)
+
+
+def test_simulate_refuses_integer_power_tower(tmp_path):
+    # as integers, 10**10**10 has ten billion digits and no Python signal can
+    # interrupt the power, so it runs in a child that the timeout kills
+    raw = default_scenario_json(n=10, seed=1)
+    raw["rates"]["1->2"] = "10**10**10"
+    scenario = tmp_path / "tower.json"
+    scenario.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    argv = ["simulate", "--scenario", str(scenario), "--out", str(out)]
+    package = str(Path(condaalen.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN, package, *argv], capture_output=True, text=True, timeout=10
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: rate 1->2 at t=0.0: "), lines
+    assert not out.exists()
+
+
 def test_fit_writes_expected_files(workspace):
     out = workspace / "fit"
     code = main(
@@ -312,6 +365,17 @@ def test_fit_rejects_non_finite_input(tmp_path, capsys, line, row):
     assert code == 1
     assert f"line {line}" in err
     assert "Traceback" not in err
+
+
+def test_fit_refuses_oversize_cell_by_line(tmp_path, capsys):
+    rows = list(_GOOD_ROWS)
+    rows[3] = "b,0,1,," + "9" * 200_000
+    data = tmp_path / "big.csv"
+    data.write_text("\n".join(rows) + "\n")
+    code = main(["fit", "--input", str(data), "--x", "0.5", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == ["error: line 4: field larger than field limit (131072)"]
 
 
 @pytest.mark.parametrize(

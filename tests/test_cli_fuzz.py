@@ -5,8 +5,10 @@ mass), raises nothing and emits no warning. Exit 1 prints exactly one
 ``error:`` line; exit 2 names the evaluation point that had no mass.
 Inputs are mutants of a small default-scenario sample CSV, run through
 ``fit`` and ``covariance`` with drawn flag values, and mutants of the
-default scenario file, run through ``simulate``. The examples are fixed:
-a set seed, derandomised, no example database.
+default scenario file, run through ``simulate``: wrong-typed fields and
+law parameters, a spiking thinning rate, whole documents that are not a
+scenario object, and rates nested too deeply to compile. The examples
+are fixed: a set seed, derandomised, no example database.
 """
 
 import contextlib
@@ -30,6 +32,7 @@ FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None
 TOKENS = (
     "", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "1e-300", "1e22",
     "a,b", "s0", "0", "1", "2", "3", "-1", "x",
+    "9" * 200_000,  # over csv's field size limit
 )  # fmt: skip
 # valid values repeat, so that most runs get past the flag checks
 X_VALUES = ("0.5", "0.5", "0.1", "0.9", "0.05", "1e308", "-1e308", "0.5,0.5", "nan", "abc")
@@ -37,6 +40,10 @@ ATOMS = (None, None, None, "1:0.5", "1:0.5,0.1", "2:0.5", "x:1")
 BANDWIDTHS = (None, None, "0.3", "0.05", "1e-300", "1e300", "-1")
 GRIDS = ("1", "3", "3", "0")
 JSON_VALUES = (None, "x", 1, 2.5, True, [], [1], {}, {"a": 1})
+# whole scenario files; json.dumps cannot write the 100,000-deep list
+DOCUMENTS = tuple(json.dumps(v) for v in JSON_VALUES) + ("[" * 100_000 + "]" * 100_000,)
+# rates that the parser, the rewrite or the compiler cannot take
+DEEP_RATES = ("+".join(["x1"] * 900), "-" * 1000 + "1")
 # a rate that spikes between the thinning majorant's probe points
 SPIKE = "1 + 1000*max(0, 0.01 - abs(t - 0.1))"
 
@@ -91,9 +98,11 @@ def fit_argvs(draw) -> list[str]:
 
 
 @st.composite
-def scenario_mutants(draw) -> dict:
+def scenario_mutants(draw) -> str:
     raw = default_scenario_json(n=5, seed=1)
-    kind = draw(st.sampled_from(("field", "law", "spike")))
+    kind = draw(st.sampled_from(("field", "law", "spike", "document", "expression")))
+    if kind == "document":
+        return draw(st.sampled_from(DOCUMENTS))
     if kind == "field":
         raw[draw(st.sampled_from(sorted(raw)))] = draw(st.sampled_from(JSON_VALUES))
     elif kind == "law":
@@ -104,10 +113,12 @@ def scenario_mutants(draw) -> dict:
             )  # fmt: skip
         )
         law[key] = draw(st.sampled_from(JSON_VALUES))
+    elif kind == "expression":
+        raw["rates"]["1->2"] = draw(st.sampled_from(DEEP_RATES))
     else:
         raw["rates"]["1->2"] = SPIKE
         raw["n"] = 200
-    return raw
+    return json.dumps(raw)
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -148,10 +159,10 @@ def test_fit_and_covariance_keep_the_exit_code_contract(text, argv):
 @seed(20261)
 @given(scenario_mutants())
 @FUZZ
-def test_simulate_keeps_the_exit_code_contract(raw):
+def test_simulate_keeps_the_exit_code_contract(text):
     with tempfile.TemporaryDirectory() as tmp:
         scenario = Path(tmp) / "scenario.json"
-        scenario.write_text(json.dumps(raw), encoding="utf-8")
+        scenario.write_text(text, encoding="utf-8")
         out = Path(tmp) / "sample.csv"
         code, stderr = _run(["simulate", "--scenario", str(scenario), "--out", str(out)])
         assert code in (0, 1)

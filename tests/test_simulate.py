@@ -483,6 +483,48 @@ def test_expression_grammar_rejects(text):
         compile_expression(text, 1)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["+".join(["x1"] * 500), "-" * 100_000 + "1", "1" + "0" * 400],
+    ids=["500-term-sum", "deep-unary", "400-digit-constant"],
+)
+def test_expression_too_deep_or_large_is_refused(text):
+    # a RecursionError, MemoryError or OverflowError while parsing, rewriting
+    # or compiling; the message quotes at most 80 characters of the text
+    with pytest.raises(ExpressionError, match="too deep or too large") as info:
+        compile_expression(text, 1)
+    assert repr(text[:80]) in str(info.value)
+    assert repr(text[:81]) not in str(info.value)
+
+
+def test_integer_constants_are_floats():
+    # so a power overflows at once instead of building a huge integer; the
+    # CLI runs 10**10**10 in test_simulate_refuses_integer_power_tower
+    fn, _ = compile_expression("2**1100 * 0", 1)
+    with pytest.raises(OverflowError):
+        fn(0.0, 0.0, (0.5,))
+    # an exact integer power below 2**53 keeps its bits
+    fn, _ = compile_expression("2**3 * x1 ** 2 + 10**2 / 7", 1)
+    assert fn(0.0, 0.0, (0.3,)) == 2**3 * 0.3**2 + 10**2 / 7
+
+
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        ("[1, 2]", "must be a JSON object, got list"),
+        ("5", "must be a JSON object, got int"),
+        ("null", "must be a JSON object, got NoneType"),
+        ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+    ],
+    ids=["list", "number", "null", "deep"],
+)
+def test_scenario_document_outside_contract_is_refused(tmp_path, text, needle):
+    f = tmp_path / "scenario.json"
+    f.write_text(text)
+    with pytest.raises(ValueError, match=needle):
+        load_scenario(f)
+
+
 def test_brute_force_matches_fast_path():
     sc = default_scenario(n=35, seed=4)
     s = simulate_sample(sc["intensity"], sc["censoring"], 35, 4)
