@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from .covariance import default_surface_grid, hazard_covariance, occupation_covariance
-from .data import Sample, _fmt, load_sample, write_sample
+from .data import Sample, _fmt, _format_distinct, _json_float, load_sample, write_sample
 from .estimators import FitResult, fit
 from .kernels import KernelSpec, NoKernelMass
 # simulate_path is unused here, but bench/run.py wraps cli.simulate_path by name
@@ -147,38 +147,6 @@ def _warn_flags(result: FitResult, label: str) -> None:
             f"theta={_fmt(result.theta)}; values there are extrapolations",
             file=sys.stderr,
         )
-
-
-def _json_float(value: float) -> str:
-    """A float as ``json`` writes it, non-finite values included."""
-    if value != value:
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return repr(value)
-
-
-# builtins that format every finite float as the writers' formats do,
-# without a Python frame per value
-_FINITE_FORMAT = {_fmt: "%.17g".__mod__, _json_float: float.__repr__}
-
-
-def _format_distinct(values: np.ndarray, fmt=_fmt) -> np.ndarray:
-    """``fmt`` of every entry of a float array, as an object array of its shape.
-
-    Each distinct bit pattern is formatted once and its string shared.
-    Keying on bits rather than ``==`` keeps ``-0.0`` apart from ``0.0``.
-    Finite values go through ``fmt``'s builtin in ``_FINITE_FORMAT``
-    where it has one, NaN and infinities through ``fmt`` itself.
-    """
-    values = np.ascontiguousarray(values, dtype=float)
-    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
-    unique = bits.view(float)
-    strings = np.array(list(map(_FINITE_FORMAT.get(fmt, fmt), unique.tolist())), dtype=object)
-    special = ~np.isfinite(unique)
-    if special.any():
-        strings[special] = [fmt(v) for v in unique[special].tolist()]
-    return strings[inverse.reshape(values.shape)]
 
 
 def _write_rows(handle, times, labels, values, keep=None) -> None:

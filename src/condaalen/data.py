@@ -4,6 +4,12 @@ An observed subject is the triplet of a covariate vector, a finite-state
 path followed up to its end time, and the reason follow-up ended (the
 path was censored, or it was absorbed). Paths are right-continuous with
 strictly increasing jump times.
+
+A sample has two forms: its paths, and its columns (flat arrays per
+subject and per recorded jump), from which its :class:`EventTable` is
+built. A sample built from paths flattens them on first use of its
+table or by :func:`write_sample`; a sample read by :func:`load_sample`
+is parsed straight into columns and builds its paths only when asked.
 """
 
 from __future__ import annotations
@@ -12,11 +18,18 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
 CENSORED = "censored"
 ABSORBED = "absorbed"
+
+# rows of the sample CSV formatted and written at a time
+_BLOCK_ROWS = 4096
+# the ``end`` cell of a row, stripped: "" and "0"/"1"; anything else is 3
+_FLAG_CODES = {"": 0, "0": 1, "1": 2}
+_FLAG_TEXT = np.array(["", "0", "1"], dtype=object)
 
 
 class ParseError(ValueError):
@@ -89,27 +102,95 @@ class ObservedPath:
         return state
 
 
-@dataclass(frozen=True)
 class Sample:
-    """A collection of observed paths over a common state space."""
+    """A collection of observed paths over a common state space.
 
-    paths: tuple[ObservedPath, ...]
-    state_space: StateSpace
+    ``Sample(paths, state_space)`` only stores the paths. A sample read by
+    :func:`load_sample` holds its columns and table instead, and builds
+    ``paths`` (a tuple of :class:`ObservedPath`) on first access.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "paths", tuple(self.paths))
+    def __init__(self, paths, state_space: StateSpace):
+        self.paths = tuple(paths)
+        self.state_space = state_space
+        self._size = len(self.paths)
+        self.covariate_dim = len(self.paths[0].covariates) if self.paths else 0
+
+    @classmethod
+    def _from_columns(cls, columns: _Columns, state_space: StateSpace) -> Sample:
+        sample = cls.__new__(cls)
+        sample.state_space = state_space
+        sample._size, sample.covariate_dim = columns.covariates.shape
+        sample._columns = columns
+        sample.table = EventTable.build(columns)
+        return sample
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return self._size
 
-    @property
-    def covariate_dim(self) -> int:
-        return len(self.paths[0].covariates) if self.paths else 0
+    @cached_property
+    def paths(self) -> tuple[ObservedPath, ...]:
+        return self._columns.paths(self.state_space.states)
+
+    @cached_property
+    def _columns(self) -> _Columns:
+        return _Columns.from_paths(self.paths, self.state_space.states, self.covariate_dim)
 
     @cached_property
     def table(self) -> EventTable:
         """Columnar form of the sample, built on first use."""
-        return EventTable.build(self)
+        return EventTable.build(self._columns)
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """A sample's subjects and recorded jumps as flat arrays.
+
+    Per subject: ``covariates`` (n, d), ``init`` (a state index),
+    ``end_time`` and ``censored``. Per recorded jump, subject by subject
+    and in path order within a subject: ``subj``, ``time`` and ``state``,
+    the index of the state entered. States index ``state_space.states``.
+    A jump recorded after its subject's end of follow-up is kept here.
+    """
+
+    covariates: np.ndarray
+    init: np.ndarray
+    end_time: np.ndarray
+    censored: np.ndarray
+    subj: np.ndarray
+    time: np.ndarray
+    state: np.ndarray
+
+    @classmethod
+    def from_paths(cls, paths, states, dim: int) -> _Columns:
+        index = {s: i for i, s in enumerate(states)}
+        jumps = [jump for p in paths for jump in p.jumps]
+        times, labels = zip(*jumps) if jumps else ((), ())
+        return cls(
+            covariates=np.array([p.covariates for p in paths], float).reshape(len(paths), dim),
+            init=np.array([index[p.initial_state] for p in paths], dtype=np.intp),
+            end_time=np.array([p.end_time for p in paths], dtype=float),
+            censored=np.array([p.end_reason == CENSORED for p in paths], dtype=bool),
+            subj=np.repeat(np.arange(len(paths)), [len(p.jumps) for p in paths]),
+            time=np.array(times, dtype=float),
+            state=np.fromiter(map(index.__getitem__, labels), np.intp, len(labels)),
+        )
+
+    def paths(self, states) -> tuple[ObservedPath, ...]:
+        labels = np.array(states, dtype=object)
+        bounds = np.searchsorted(self.subj, np.arange(len(self.init) + 1)).tolist()
+        jumps = list(zip(self.time.tolist(), labels[self.state].tolist()))
+        return tuple(
+            ObservedPath(tuple(x), s, tuple(jumps[lo:hi]), end, CENSORED if c else ABSORBED)
+            for x, s, lo, hi, end, c in zip(
+                self.covariates.tolist(),
+                labels[self.init].tolist(),
+                bounds,
+                bounds[1:],
+                self.end_time.tolist(),
+                self.censored.tolist(),
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -130,6 +211,9 @@ class EventTable:
     ``soj_entry`` (-1 from time 0), left at ``soj_exit`` (the last grid
     index once absorbed) into ``soj_next`` (-1 at the end of follow-up).
     The jump rows are the stays with ``soj_next >= 0``.
+
+    :meth:`build` makes the table from a sample's columns in whole-array
+    steps, whether they were parsed from a CSV or flattened from paths.
     """
 
     grid: np.ndarray
@@ -150,46 +234,42 @@ class EventTable:
     soj_next: np.ndarray
 
     @classmethod
-    def build(cls, sample: Sample) -> EventTable:
-        index = {s: i for i, s in enumerate(sample.state_space.states)}
-        times: list[float] = []
-        # (subject, state, entry time, exit time, next state); an absorbed
-        # subject's last stay never ends
-        stays: list[tuple[int, int, float, float, int]] = []
-        init, censored = [], []
-        for ell, p in enumerate(sample.paths):
-            state = index[p.initial_state]
-            init.append(state)
-            entry = 0.0
-            for t, label in p.jumps:
-                times.append(t)
-                if t <= p.end_time:
-                    stays.append((ell, state, entry, t, index[label]))
-                    state, entry = index[label], t
-            censored.append(p.end_reason == CENSORED)
-            if censored[-1]:
-                times.append(p.end_time)
-            stays.append((ell, state, entry, p.end_time if censored[-1] else math.inf, -1))
-
-        grid = np.unique(np.array(times, dtype=float))
-        cols = np.array(stays, dtype=float).reshape(-1, 5).T
-        subj, state, nxt = cols[[0, 1, 4]].astype(np.intp)
-        entry, leave = np.searchsorted(grid, cols[2:4], side="right") - 1
-        end_time = np.array([p.end_time for p in sample.paths], dtype=float)
-        jump = nxt >= 0
+    def build(cls, columns: _Columns) -> EventTable:
+        n = len(columns.init)
+        grid = np.unique(np.concatenate([columns.time, columns.end_time[columns.censored]]))
+        # the clip: a jump after the end of follow-up ends no stay
+        kept = columns.time <= columns.end_time[columns.subj]
+        subj, time, dst = columns.subj[kept], columns.time[kept], columns.state[kept]
+        # subject l's stays are rows first[l] .. last[l]: one per kept jump
+        # (the stay that jump ends), then the stay follow-up ends
+        first = np.searchsorted(subj, np.arange(n)) + np.arange(n)
+        last = np.searchsorted(subj, np.arange(n), side="right") + np.arange(n)
+        ends = np.arange(subj.size) + subj
+        size = subj.size + n
+        state = np.empty(size, dtype=np.intp)
+        state[first] = columns.init
+        state[ends + 1] = dst
+        entry = np.zeros(size)
+        entry[ends + 1] = time
+        leave = np.empty(size)
+        leave[ends] = time
+        leave[last] = np.where(columns.censored, columns.end_time, math.inf)
+        nxt = np.full(size, -1, dtype=np.intp)
+        nxt[ends] = dst
+        entry, leave = np.searchsorted(grid, [entry, leave], side="right") - 1
         table = cls(
             grid=grid,
-            subj=subj[jump],
-            pos=leave[jump],
-            src=state[jump],
-            dst=nxt[jump],
-            covariates=np.array([p.covariates for p in sample.paths], dtype=float),
-            init=np.array(init, dtype=np.intp),
-            final=state[~jump],
-            end_time=end_time,
-            end_pos=np.searchsorted(grid, end_time, side="right") - 1,
-            censored=np.array(censored, dtype=bool),
-            soj_subj=subj,
+            subj=subj,
+            pos=leave[ends],
+            src=state[ends],
+            dst=dst,
+            covariates=columns.covariates,
+            init=columns.init,
+            final=state[last],
+            end_time=columns.end_time,
+            end_pos=np.searchsorted(grid, columns.end_time, side="right") - 1,
+            censored=columns.censored,
+            soj_subj=np.repeat(np.arange(n), last - first + 1),
             soj_state=state,
             soj_entry=entry,
             soj_exit=leave,
@@ -260,6 +340,14 @@ def load_sample(path) -> Sample:
     space is inferred from the data, its absorbing states being those
     some subject is absorbed in.
 
+    The file is read in one ``csv`` pass and converted column by column
+    with Python's ``float`` and ``int``. Subjects are numbered by first
+    appearance and their rows put in time order by one stable sort; the
+    rules are checked on whole columns, and the returned sample holds its
+    :class:`EventTable` from the start, building ``paths`` only if asked.
+    Only a rule that fails sends the code back to the rows, to report the
+    first offending row or subject as a row-by-row reading would.
+
     Parameters
     ----------
     path : str or pathlib.Path
@@ -274,14 +362,19 @@ def load_sample(path) -> Sample:
     ValidationError
         Parsed paths that violate the path invariants, each named by its
         subject id and the line of its time-0 row.
+
+    Line numbers are physical lines of the file, counting the header as
+    line 1; a row whose quoted cell spans lines is named by its first.
     """
     # utf-8-sig drops the byte-order mark spreadsheet exports put before the header
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = _rows(csv.reader(handle))
+        reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError("empty file: missing header") from None
+        except csv.Error as err:
+            raise ParseError(f"line {reader.line_num}: {err}") from None
         header = [h.strip() for h in header]
         position = {}
         for i, name in enumerate(header):
@@ -296,107 +389,228 @@ def load_sample(path) -> Sample:
             covar_cols.append(f"x{len(covar_cols) + 1}")
         if not covar_cols:
             raise ParseError("no covariate columns found (expected x1, x2, ...)")
-        end_col = position.get("end")
+        first_line = reader.line_num + 1
+        errors: list[ParseError] = []
+        rows = list(_records(reader, errors))
+    return _Rows(rows, first_line, position, covar_cols, errors).sample()
 
-        # subjects in order of first appearance
-        rows_by_id: dict[str, list[tuple[float, int, str, int, tuple[str, ...]]]] = {}
-        for lineno, row in enumerate(reader, start=2):
+
+class _Rows:
+    """The data rows of a sample CSV, checked and turned into a :class:`Sample`."""
+
+    def __init__(self, rows, first_line, position, covar_cols, errors):
+        self.rows, self.first_line, self.position = rows, first_line, position
+        self.covar_cols = covar_cols
+        self.end_col = position.get("end")
+        self.errors = errors
+
+    @cached_property
+    def lines(self) -> np.ndarray:
+        """The physical line on which each row starts.
+
+        A row spans one line, plus one for each line break inside its
+        quoted cells (``\\r\\n``, ``\\r`` or ``\\n``, as the file is read).
+        """
+        breaks = (
+            sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row) for row in self.rows
+        )
+        spans = 1 + np.fromiter(breaks, np.int64, len(self.rows))
+        return self.first_line + np.cumsum(spans) - spans
+
+    def sample(self) -> Sample:
+        """The sample, or the error a row-by-row reading would raise first."""
+        sids, subj, time, labels, state, flag, at = self._sorted()
+        first = np.flatnonzero(np.diff(subj, prepend=-1))
+        last = np.append(first[1:], subj.size) - 1
+        starts = np.zeros(subj.size, dtype=bool)
+        starts[first] = True
+        ends = np.zeros(subj.size, dtype=bool)
+        ends[last] = True
+        censored = flag[last] == _FLAG_CODES["1"]
+        covariates = self._covariates(at[first])
+        repeated = ~starts & (state == np.roll(state, 1))
+
+        # the subject rules, as masks over rows and subjects
+        dup_time = ~starts & (time <= np.roll(time, 1))
+        early_flag = ~ends & (flag != _FLAG_CODES[""])
+        bad_repeat = repeated & ~(ends & censored[subj])
+        bad = (time[first] != 0.0) | (first == last) | ~np.isfinite(covariates).all(axis=1)
+        bad |= (flag[last] != _FLAG_CODES["0"]) & ~censored
+        for rule in (dup_time, early_flag, bad_repeat):
+            bad[subj[rule]] = True
+        if bad.any():
+            # the first subject that breaks one, and the first rule it breaks
+            s = np.flatnonzero(bad)[0]
+            lo, hi, sid = first[s], last[s], sids[s]
+            rows = slice(lo, hi + 1)
+
+            def line(r: int) -> int:
+                return self.lines[at[r]]
+
+            if dup_time[rows].any():
+                r = lo + np.flatnonzero(dup_time[rows])[0]
+                raise ParseError(
+                    f"duplicate time for id {sid!r} at t={time[r].tolist()} (line {line(r)})"
+                )
+            if time[lo] != 0.0:
+                raise ValidationError(f"id {sid!r}: first row must be at time 0 (line {line(lo)})")
+            if lo == hi:
+                raise ValidationError(f"id {sid!r}: no row after the time-0 row (line {line(lo)})")
+            nonfinite = np.flatnonzero(~np.isfinite(covariates[s]))
+            if nonfinite.size:
+                name = self.covar_cols[nonfinite[0]]
+                cell = self.rows[at[lo]][self.position[name]].strip()
+                raise ParseError(f"line {line(lo)}: covariate {name}={cell!r} is not a finite number")
+            if not censored[s] and flag[hi] != _FLAG_CODES["0"]:
+                raise ValidationError(
+                    f"id {sid!r}: terminal row needs end flag 0 or 1 (line {line(hi)})"
+                )
+            if early_flag[rows].any():
+                r = lo + np.flatnonzero(early_flag[rows])[0]
+                raise ValidationError(f"id {sid!r}: end flag on non-terminal row (line {line(r)})")
+            r = lo + np.flatnonzero(bad_repeat[rows])[0]
+            raise ValidationError(
+                f"id {sid!r}: repeated state {labels[state[r]]} outside a censoring marker "
+                f"(line {line(r)})"
+            )
+
+        # what is left of the path invariants: no subject may start in, or
+        # jump out of, a state that some subject is absorbed in
+        absorbing = np.zeros(len(labels), dtype=bool)
+        absorbing[state[last[~censored]]] = True
+        jump = ~starts & ~repeated
+        escape = jump & absorbing[np.roll(state, 1)]
+        starts_absorbed = absorbing[state[first]]
+        if starts_absorbed.any() or escape.any():
+            problems = []
+            for s in np.union1d(np.flatnonzero(starts_absorbed), subj[escape]).tolist():
+                where = f"id {sids[s]!r} (line {self.lines[at[first[s]]]})"
+                if starts_absorbed[s]:
+                    problems.append(f"{where}: initial state {labels[state[first[s]]]} is absorbing")
+                for r in np.flatnonzero(escape & (subj == s)).tolist():
+                    left, t = labels[state[r - 1]], time[r].tolist()
+                    problems.append(f"{where}: jump out of absorbing state {left} at t={t}")
+            raise ValidationError("; ".join(problems))
+
+        jumps = np.flatnonzero(jump)
+        columns = _Columns(
+            covariates=covariates,
+            init=state[first],
+            end_time=time[last],
+            censored=censored,
+            subj=subj[jumps],
+            time=time[jumps],
+            state=state[jumps],
+        )
+        space = StateSpace(tuple(labels), frozenset(labels[i] for i in np.flatnonzero(absorbing)))
+        return Sample._from_columns(columns, space)
+
+    def _sorted(self):
+        """The rows that pass the row rules, blank rows dropped, grouped and in time order.
+
+        Returns the subject ids in order of first appearance, then per row
+        the subject number, time, state index (into the sorted state
+        labels, also returned), ``end`` flag code, and index in ``rows``.
+        """
+        rows, position = self.rows, self.position
+        width = len(position)
+        widths = np.fromiter(map(len, rows), np.intp, len(rows))
+        full = np.flatnonzero(widths == width)
+        picked = rows if full.size == len(rows) else [rows[i] for i in full.tolist()]
+        cols = list(zip(*picked)) or [()] * width
+        ids = list(map(str.strip, cols[position["id"]]))
+        times, bad_time = _converted(float, cols[position["time"]], math.nan)
+        states, bad_state = _converted(int, list(map(str.strip, cols[position["state"]])), 0)
+        times = np.array(times, dtype=float)
+
+        # rows some row rule may reject, and the blank rows that are skipped
+        suspect = ~np.isfinite(times)
+        suspect[bad_time + bad_state] = True
+        if "" in ids:
+            suspect |= np.fromiter(map(len, ids), np.intp, len(ids)) == 0
+        for i in np.union1d(np.flatnonzero(widths != width), full[suspect]).tolist():
+            row = rows[i]
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) != len(header):
-                raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            sid = row[position["id"]].strip()
-            if not sid:
-                raise ParseError(f"line {lineno}: empty subject id")
-            raw_time = row[position["time"]]
-            try:
-                time = float(raw_time)
-            except ValueError:
-                raise ParseError(f"line {lineno}: unparsable time {raw_time!r}") from None
-            if not math.isfinite(time):
-                raise ParseError(f"line {lineno}: non-finite time {raw_time!r}")
-            raw_state = row[position["state"]].strip()
-            try:
-                state = int(raw_state)
-            except ValueError:
-                raise ParseError(f"line {lineno}: unparsable state {raw_state!r}") from None
-            end_flag = row[end_col].strip() if end_col is not None else ""
-            cells = tuple(row[position[name]].strip() for name in covar_cols)
-            rows_by_id.setdefault(sid, []).append((time, state, end_flag, lineno, cells))
-
-        if not rows_by_id:
+            problem = _row_problem(row, width, position)
+            if problem:
+                raise ParseError(f"line {self.lines[i]}: {problem}")
+        if self.errors:
+            raise self.errors[0]
+        # the rows left in ``suspect`` passed every rule: they are blank
+        keep = np.flatnonzero(~suspect)
+        if keep.size < len(ids):
+            ids = [ids[i] for i in keep.tolist()]
+            states = [states[i] for i in keep.tolist()]
+        if not ids:
             raise ParseError("no subjects in file")
+        if self.end_col is None:
+            flags = np.zeros(len(ids), dtype=np.int8)
+        else:
+            cells = map(str.strip, cols[self.end_col])
+            flags = np.fromiter(map(_FLAG_CODES.get, cells, repeat(3)), np.int8, full.size)[keep]
 
-    paths, labels = [], []
-    seen: set[int] = set()
-    terminal: set[int] = set()
-    for sid, rows in rows_by_id.items():
-        rows = sorted(rows, key=lambda r: r[0])
-        for (t_a, *_), (t_b, _, _, line_b, _) in zip(rows, rows[1:]):
-            if t_b <= t_a:
-                raise ParseError(f"duplicate time for id {sid!r} at t={t_b} (line {line_b})")
-        first_time, first_state, _, first_line, first_cells = rows[0]
-        if first_time != 0.0:
-            raise ValidationError(f"id {sid!r}: first row must be at time 0 (line {first_line})")
-        if len(rows) == 1:
-            raise ValidationError(f"id {sid!r}: no row after the time-0 row (line {first_line})")
-        covariates = []
-        for name, cell in zip(covar_cols, first_cells):
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ParseError(f"line {first_line}: covariate {name}={cell!r} is not a finite number")
-            covariates.append(value)
-        last_time, last_state, last_flag, last_line, _ = rows[-1]
-        if last_flag not in ("0", "1"):
-            raise ValidationError(
-                f"id {sid!r}: terminal row needs end flag 0 or 1 (line {last_line})"
-            )
-        for _, _, flag, lineno, _ in rows[:-1]:
-            if flag:
-                raise ValidationError(f"id {sid!r}: end flag on non-terminal row (line {lineno})")
-        censored = last_flag == "1"
-        jumps = []
-        current = first_state
-        seen.add(first_state)
-        for time, state, _, lineno, _ in rows[1:]:
-            if state != current:
-                jumps.append((time, state))
-                seen.add(state)
-                current = state
-            elif (time, state) != (last_time, last_state) or not censored:
-                raise ValidationError(
-                    f"id {sid!r}: repeated state {state} outside a censoring marker (line {lineno})"
-                )
-        paths.append(
-            ObservedPath(
-                covariates=tuple(covariates),
-                initial_state=first_state,
-                jumps=tuple(jumps),
-                end_time=last_time,
-                end_reason=CENSORED if censored else ABSORBED,
-            )
-        )
-        labels.append(f"id {sid!r} (line {first_line})")
-        if not censored:
-            terminal.add(current)
-    space = StateSpace(tuple(sorted(seen)), frozenset(terminal))
+        times, at = times[keep], full[keep]
+        number = {sid: k for k, sid in enumerate(dict.fromkeys(ids))}
+        subj = np.fromiter(map(number.__getitem__, ids), np.intp, len(ids))
+        labels = sorted(set(states))
+        index = {s: i for i, s in enumerate(labels)}
+        state = np.fromiter(map(index.__getitem__, states), np.intp, len(states))
+        order = np.lexsort((times, subj))
+        return list(number), subj[order], times[order], labels, state[order], flags[order], at[order]
 
-    sample = Sample(tuple(paths), space)
-    problems = validate(sample, labels)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return sample
+    def _covariates(self, at: np.ndarray) -> np.ndarray:
+        """The covariates (n, d) of the rows ``at``, NaN where a cell is not a number."""
+        values = []
+        for name in self.covar_cols:
+            col = self.position[name]
+            cells = [self.rows[i][col].strip() for i in at.tolist()]
+            values.append(_converted(float, cells, math.nan)[0])
+        return np.array(values, dtype=float).T.copy()
 
 
-def _rows(reader):
-    """The rows of a ``csv.reader``, its errors as :class:`ParseError` naming the line."""
+def _records(reader, errors: list):
+    """The rows of a ``csv.reader`` up to its first error, which goes into ``errors``."""
     try:
         yield from reader
     except csv.Error as err:
-        raise ParseError(f"line {reader.line_num}: {err}") from None
+        errors.append(ParseError(f"line {reader.line_num}: {err}"))
+
+
+def _converted(convert, cells, fill) -> tuple[list, list[int]]:
+    """``convert`` of each cell, ``fill`` where it raises ``ValueError``, and those positions."""
+    try:
+        return list(map(convert, cells)), []
+    except ValueError:
+        values, failed = [], []
+        for i, cell in enumerate(cells):
+            try:
+                values.append(convert(cell))
+            except ValueError:
+                values.append(fill)
+                failed.append(i)
+        return values, failed
+
+
+def _row_problem(row: list[str], width: int, position: dict[str, int]) -> str | None:
+    """The first rule a non-blank row breaks, or None."""
+    if len(row) != width:
+        return f"expected {width} fields, got {len(row)}"
+    if not row[position["id"]].strip():
+        return "empty subject id"
+    raw_time = row[position["time"]]
+    try:
+        time = float(raw_time)
+    except ValueError:
+        return f"unparsable time {raw_time!r}"
+    if not math.isfinite(time):
+        return f"non-finite time {raw_time!r}"
+    raw_state = row[position["state"]].strip()
+    try:
+        int(raw_state)
+    except ValueError:
+        return f"unparsable state {raw_state!r}"
+    return None
 
 
 def _fmt(value: float) -> str:
@@ -404,25 +618,90 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
+def _json_float(value: float) -> str:
+    """A float as ``json`` writes it, non-finite values included."""
+    if value != value:
+        return "NaN"
+    if math.isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    return repr(value)
+
+
+# builtins that format every finite float as the writers' formats do,
+# without a Python frame per value
+_FINITE_FORMAT = {_fmt: "%.17g".__mod__, _json_float: float.__repr__}
+
+
+def _format_distinct(values: np.ndarray, fmt=_fmt) -> np.ndarray:
+    """``fmt`` of every entry of a float array, as an object array of its shape.
+
+    Each distinct bit pattern is formatted once and its string shared.
+    Keying on bits rather than ``==`` keeps ``-0.0`` apart from ``0.0``.
+    Finite values go through ``fmt``'s builtin in ``_FINITE_FORMAT``
+    where it has one, NaN and infinities through ``fmt`` itself.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    unique = bits.view(float)
+    strings = np.array(list(map(_FINITE_FORMAT.get(fmt, fmt), unique.tolist())), dtype=object)
+    special = ~np.isfinite(unique)
+    if special.any():
+        strings[special] = [fmt(v) for v in unique[special].tolist()]
+    return strings[inverse.reshape(values.shape)]
+
+
 def write_sample(sample: Sample, path) -> None:
-    """Write a sample to long-format CSV; inverse of :func:`load_sample`."""
-    dim = sample.covariate_dim
+    """Write a sample to long-format CSV; inverse of :func:`load_sample`.
+
+    Subject ``l`` is written as ``s<l>``: its time-0 row with the
+    covariates, one row per recorded jump, and, when it is censored after
+    its last jump, a marker row repeating its final state. Its last row
+    carries the ``end`` flag. Lines end in CRLF, as ``csv.writer`` ends
+    them; no cell needs quoting. The rows are built from the sample's
+    columns and written in blocks of ``_BLOCK_ROWS``, each distinct float
+    formatted once.
+    """
+    cols = sample._columns
+    n = len(cols.init)
+    count = np.bincount(cols.subj, minlength=n)
+    jump_start = np.cumsum(count) - count  # each subject's first jump row in ``cols``
+    # each subject's last recorded jump: its time (NaN if none) and state
+    has = count > 0
+    final_jump = (jump_start + count - 1)[has]
+    last_time = np.full(n, math.nan)
+    last_time[has] = cols.time[final_jump]
+    final = cols.init.copy()
+    final[has] = cols.state[final_jump]
+    marker = cols.censored & (last_time != cols.end_time)
+
+    per_subject = 1 + count + marker
+    first = np.cumsum(per_subject) - per_subject
+    subject = np.repeat(np.arange(n), per_subject)
+    time = np.zeros(subject.size)
+    state = np.empty(subject.size, dtype=np.intp)
+    state[first] = cols.init
+    jump_row = first[cols.subj] + 1 + np.arange(cols.subj.size) - jump_start[cols.subj]
+    time[jump_row], state[jump_row] = cols.time, cols.state
+    marker_row = (first + 1 + count)[marker]
+    time[marker_row], state[marker_row] = cols.end_time[marker], final[marker]
+    flag = np.zeros(subject.size, dtype=np.intp)
+    flag[first + per_subject - 1] = np.where(cols.censored, _FLAG_CODES["1"], _FLAG_CODES["0"])
+    starts = np.zeros(subject.size, dtype=bool)
+    starts[first] = True
+
+    ids = np.array([f"s{ell}" for ell in range(n)], dtype=object)
+    labels = np.array([str(s) for s in sample.state_space.states], dtype=object)
+    covariates = _format_distinct(cols.covariates)
+    dim = covariates.shape[1]
     header = ["id", "time", "state", "end"] + [f"x{k}" for k in range(1, dim + 1)]
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for idx, p in enumerate(sample.paths):
-            covars = [_fmt(c) for c in p.covariates]
-            blanks = [""] * dim
-            rows = [["0", _fmt(0.0), str(p.initial_state), ""]]
-            for time, state in p.jumps:
-                rows.append(["0", _fmt(time), str(state), ""])
-            if p.end_reason == CENSORED:
-                if not p.jumps or p.jumps[-1][0] != p.end_time:
-                    rows.append(["0", _fmt(p.end_time), str(p.final_state), ""])
-                rows[-1][3] = "1"
-            else:
-                rows[-1][3] = "0"
-            for rownum, row in enumerate(rows):
-                row[0] = f"s{idx}"
-                writer.writerow(row + (covars if rownum == 0 else blanks))
+        handle.write(",".join(header) + "\r\n")
+        for lo in range(0, subject.size, _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            who, opening = subject[rows], starts[rows]
+            cells = np.full((who.size, dim), "", dtype=object)
+            cells[opening] = covariates[who[opening]]
+            times = _format_distinct(time[rows])
+            fields = [ids[who], times, labels[state[rows]], _FLAG_TEXT[flag[rows]]]
+            lines = map(",".join, zip(*(f.tolist() for f in fields), *cells.T.tolist()))
+            handle.write("\r\n".join(lines) + "\r\n")

@@ -107,31 +107,36 @@ def compile_expression(text: str, dim: int):
         # the parser, the rewrite and the compiler recurse once per nesting
         # level; a float constant overflows above 1.8e308
         raise ExpressionError(
-            f"expression too deep or too large to compile: {text[:80]!r}"
+            f"expression too deep or too large to compile: {_quote(text)}"
         ) from None
+
+
+def _quote(text: str) -> str:
+    """How an ``ExpressionError`` quotes an expression: its first 80 characters."""
+    return repr(text[:80])
 
 
 def _compile(text: str, dim: int):
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as err:
-        raise ExpressionError(f"cannot parse expression {text!r}: {err}") from None
+        raise ExpressionError(f"cannot parse expression {_quote(text)}: {err}") from None
     allowed_names = {"t", "duration", "x"} | {f"x{i}" for i in range(1, dim + 1)}
     used: set[str] = set()
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
-            raise ExpressionError(f"disallowed syntax in {text!r}: {type(node).__name__}")
+            raise ExpressionError(f"disallowed syntax in {_quote(text)}: {type(node).__name__}")
         if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_FUNCS:
-                raise ExpressionError(f"disallowed function call in {text!r}")
+                raise ExpressionError(f"disallowed function call in {_quote(text)}")
             if node.keywords:
-                raise ExpressionError(f"keyword arguments not allowed in {text!r}")
+                raise ExpressionError(f"keyword arguments not allowed in {_quote(text)}")
         if isinstance(node, ast.Name) and node.id not in _ALLOWED_FUNCS:
             if node.id not in allowed_names:
-                raise ExpressionError(f"unknown variable {node.id!r} in {text!r}")
+                raise ExpressionError(f"unknown variable {_quote(node.id)} in {_quote(text)}")
             used.add(node.id)
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-            raise ExpressionError(f"non-numeric constant in {text!r}")
+            raise ExpressionError(f"non-numeric constant in {_quote(text)}")
     # lambda t, duration, x: float(<expression>), with ``x`` and ``xi`` read
     # as x[0] and x[i - 1] and integer constants as floats: the arithmetic
     # nodes are the checked expression's own

@@ -239,6 +239,20 @@ def test_simulate_refuses_scenario_outside_contract(tmp_path, capsys, text, need
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate", ["1" * 5001, "1" * 5001 + "+"], ids=["literal", "literal-plus"])
+def test_simulate_error_quotes_at_most_80_characters_of_a_rate(tmp_path, capsys, rate):
+    raw = default_scenario_json(n=10, seed=1)
+    raw["rates"]["1->2"] = rate
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "1" * 80 in lines[0] and "1" * 81 not in lines[0]
+    assert len(lines[0]) < 400, lines[0]
+
+
 # runs cli.main in a fresh interpreter with the package's directory on sys.path
 _MAIN = (
     "import sys; sys.path.insert(0, sys.argv[1]); "

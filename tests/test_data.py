@@ -158,6 +158,21 @@ def test_oversize_cell_is_a_parse_error_naming_its_line(tmp_path):
         load_sample(_write(tmp_path, text))
 
 
+def test_error_lines_are_physical_lines(tmp_path):
+    # the id "a\nb" spans two lines on both of its rows, so c's time-0 row is line 6
+    text = 'id,time,state,end,x1\n"a\nb",0,1,,0.3\n"a\nb",1.0,2,1,\nc,0,1,,nan\nc,1.0,2,1,\n'
+    with pytest.raises(ParseError, match=r"^line 6: covariate x1='nan' is not a finite number$"):
+        load_sample(_write(tmp_path, text))
+
+
+def test_loaded_sample_builds_its_paths_on_first_use(tmp_path):
+    s = load_sample(_write(tmp_path, BASIC))
+    assert "table" in vars(s) and "paths" not in vars(s)
+    assert (len(s), s.covariate_dim) == (3, 1)
+    assert s.paths is s.paths
+    assert s.paths[1] == ObservedPath((0.8,), 1, ((0.9, 2),), 1.5, CENSORED)
+
+
 def test_byte_order_mark_before_header_is_ignored(tmp_path):
     # spreadsheet exports write a UTF-8 byte-order mark before the header
     marked = load_sample(_write(tmp_path, "\ufeff" + BASIC, "marked.csv"))
