@@ -27,11 +27,25 @@ One backward pass over the event grid carries ``P(i, g)`` for every
 ``g`` as a stack, with a running sum for the common part and one per
 state for the at-risk part. A stay adds its state's sum at its entry
 and subtracts it at its exit; a jump adds its own term where it
-happens. For m event times, G surface-grid points and S states the
-pass costs O(m G S^3 + (#stays + #jumps) G S) arithmetic, linear in n,
-and needs O(n G S + m S^2) extra memory. :func:`influence_zeta` and
-:func:`influence_gamma` compute one subject literally; they are the test
-oracles for the vectorised forms.
+happens. Only the carry recursion runs step by step, one (G, S, S)
+product a step. The rest runs once per block of steps: one stacked
+product of the live steps' left rows with the block's carries, a
+cumulative sum that starts from the running sums, and the stay and
+jump terms, added into the subjects' rows in rounds.
+
+The blocks keep the bits of a step-by-step pass because every
+floating-point operation stays the same. Each partial sum is the
+running sum plus one step's term. Each subject receives its additions
+in the pass's order: step descending, then a step's stay boundaries
+before its own jumps, each in table order. Round r of a block adds
+every subject's r-th term of the block, so no round repeats a subject.
+
+For m event times, G surface-grid points and S states the pass costs
+O(m G S^3 + (#stays + #jumps) G S) arithmetic, linear in n, and needs
+O(n G S + m S^2) extra memory plus the block budget ``_BLOCK_BYTES``,
+spent once on a block's steps and once on a round.
+:func:`influence_zeta` and :func:`influence_gamma` compute one subject
+literally; they are the test oracles for the vectorised forms.
 """
 
 from __future__ import annotations
@@ -44,6 +58,10 @@ from .data import ABSORBED, Sample
 from .estimators import HazardEstimate, OccupationEstimate, _generator
 from .kernels import WeightVector
 from .stepfun import StepCurve
+
+# Bytes of working memory for one block of the occupation-influence pass,
+# and again for one round of its additions (see gamma_values).
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -184,6 +202,21 @@ def default_surface_grid(times: np.ndarray, size: int = 50) -> np.ndarray:
     return np.unique(qs)
 
 
+def _surface_grid(grid, times: np.ndarray) -> np.ndarray:
+    """A caller's surface grid as floats, or the default one over ``times``.
+
+    A NaN point is refused: the grid lookup would sort it after every
+    event time and read it as the last one.
+    """
+    if grid is None:
+        return default_surface_grid(times)
+    grid = np.asarray(grid, dtype=float)
+    nan = np.flatnonzero(np.isnan(grid))
+    if nan.size:
+        raise ValueError(f"surface grid point {nan[0]} is NaN")
+    return grid
+
+
 def zeta_values(
     sample: Sample,
     hazard: HazardEstimate,
@@ -244,6 +277,40 @@ def zeta_values(
     return np.sqrt(phi) * out
 
 
+def _rounds(step, is_jump, subj, n, m, per_block, per_round):
+    """Order the additions of the backward pass into rounds of distinct subjects.
+
+    Each addition into a subject's row is one term at grid step ``step``.
+    The pass walks the steps in blocks of ``per_block`` from the top, and
+    every subject must receive its terms in loop order: step descending,
+    a step's stay boundaries before its own jumps, each kind in table
+    order. The r-th terms of a block, one for each subject that has one,
+    form a round of stays and then a round of jumps, so no round repeats
+    a subject; a round holds at most ``per_round`` terms. Terms at step
+    ``m`` add nothing and are dropped. Returns the kept term indices in
+    round order, the bounds of the rounds in that order, and the bounds
+    of each block's rounds, block 0 holding the top ``per_block`` steps.
+    """
+    keep = np.flatnonzero(step < m)
+    loop = keep[np.argsort((m - step[keep]) * 2 + is_jump[keep], kind="stable")]
+    block = (m - 1 - step[loop]) // per_block
+    group = block * n + subj[loop]
+    by_group = np.argsort(group, kind="stable")
+    rank = np.empty_like(by_group)
+    rank[by_group] = _run_position(group[by_group])
+    key = (block * (rank.max(initial=0) + 1) + rank) * 2 + is_jump[loop]
+    by_key = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(_run_position(key[by_key]) % per_round == 0)
+    blocks = np.searchsorted(block[by_key][starts], np.arange((m - 1) // per_block + 2))
+    return loop[by_key], np.append(starts, key.size), blocks
+
+
+def _run_position(keys: np.ndarray) -> np.ndarray:
+    """Position of each entry of a sorted array within its run of equal entries."""
+    first = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+    return np.arange(keys.size) - np.repeat(first, np.diff(first, append=keys.size))
+
+
 def gamma_values(
     sample: Sample,
     hazard: HazardEstimate,
@@ -281,47 +348,73 @@ def gamma_values(
     # row S: the common term p(u-) @ common.
     left = np.concatenate([p_left[:, :, None] * at_risk, p_left[:, None, :] @ common], axis=1)
 
+    # A block of steps holds its carries, their live copies and its
+    # partial sums, 3S + 1 cells of G x S floats a step; a round holds
+    # its terms and the rows of out they update.
+    cell = eval_times.size * size * 8
+    per_block = max(1, _BLOCK_BYTES // (cell * (3 * size + 1)))
+    per_round = max(1, _BLOCK_BYTES // (2 * cell))
+
+    # A stay in j over grid indices (entry, exit] adds acc[j] at step
+    # entry + 1 and subtracts it at exit + 1, where acc[j] sums left rows
+    # carried to the surface grid from the current index onwards. An own
+    # jump adds its coefficient times carry[:, dst] - carry[:, src].
     tab = sample.table
-    # A stay in j over grid indices (entry, exit] collects acc[j] at
-    # entry + 1 minus acc[j] at exit + 1, where acc[j] sums left rows
-    # carried to the surface grid from the current index onwards.
-    step = np.concatenate([tab.soj_entry, tab.soj_exit]) + 1
-    order = np.argsort(step, kind="stable")
-    step = step[order]
-    b_subj = np.concatenate([tab.soj_subj, tab.soj_subj])[order]
-    b_state = np.concatenate([tab.soj_state, tab.soj_state])[order]
-    b_sign = np.repeat([1.0, -1.0], tab.soj_subj.size)[order]
-    b_bound = np.searchsorted(step, np.arange(m + 1))
+    n_stays = tab.soj_subj.size
+    step = np.concatenate([tab.soj_entry + 1, tab.soj_exit + 1, tab.pos])
+    is_jump = np.arange(step.size) >= 2 * n_stays
+    subj = np.concatenate([tab.soj_subj, tab.soj_subj, tab.subj])
+    order, bounds, block_rounds = _rounds(step, is_jump, subj, n, m, per_block, per_round)
+    step, is_jump, subj = step[order], is_jump[order], subj[order]
+    src = np.concatenate([tab.soj_state, tab.soj_state, tab.src])[order]
+    dst = np.concatenate([tab.soj_state, tab.soj_state, tab.dst])[order]
+    weight = np.where(order < n_stays, 1.0, -1.0)
+    at = (step[is_jump], src[is_jump])
+    weight[is_jump] = p_left[at] / denom[at]
 
-    order = np.argsort(tab.pos, kind="stable")
-    j_pos, j_subj, j_src, j_dst = (a[order] for a in (tab.pos, tab.subj, tab.src, tab.dst))
-    j_coef = (p_left[j_pos, j_src] / denom[j_pos, j_src])[:, None, None]
-    j_bound = np.searchsorted(j_pos, np.arange(m + 1))
-
-    # carry[g] = product of (I + dA_l) over l in (i, idx_g], zero once i > idx_g
+    # carry = product of (I + dA_l) over l in (i, idx_g], zero once i > idx_g
     idx_g = np.searchsorted(grid, eval_times, side="right") - 1
+    begins = {i: np.flatnonzero(idx_g == i) for i in np.unique(idx_g[idx_g >= 0]).tolist()}
     eye = np.eye(size)
-    carry = np.zeros((eval_times.size, size, size))
-    carry[idx_g == m - 1] = eye
-    acc = np.zeros((size + 1, eval_times.size, size))
+    moved = eye + d_haz
+    moves = d_haz.any(axis=(1, 2)).tolist() + [False]
     live = left.any(axis=(1, 2))
-    moves = d_haz.any(axis=(1, 2))
-    for i in range(m - 1, -1, -1):
-        if live[i]:
-            acc += np.matmul(left[i], carry).transpose(1, 0, 2)
-        lo, hi = b_bound[i], b_bound[i + 1]
-        if lo < hi:
-            np.add.at(out, b_subj[lo:hi], b_sign[lo:hi, None, None] * acc[b_state[lo:hi]])
-        lo, hi = j_bound[i], j_bound[i + 1]
-        if lo < hi:
-            jumps = carry[:, j_dst[lo:hi]] - carry[:, j_src[lo:hi]]
-            np.add.at(out, j_subj[lo:hi], j_coef[lo:hi] * jumps.transpose(1, 0, 2))
-        if i > 0:
-            if moves[i]:
-                carry = np.matmul(eye + d_haz[i], carry)
-            carry[idx_g == i - 1] = eye
-    out += acc[size]
-    return np.sqrt(phi) * out
+    live_from = np.append(np.cumsum(live[::-1])[::-1], 0)  # live steps at index >= i
+    carry = np.zeros((eval_times.size, size, size))
+    carries = np.empty((per_block, *carry.shape))
+    acc = np.zeros((eval_times.size, size + 1, size))
+    for b, hi in enumerate(range(m, 0, -per_block)):
+        lo = max(hi - per_block, 0)
+        # carries[k]: the carry at step hi - 1 - k
+        for k, i in enumerate(range(hi - 1, lo - 1, -1)):
+            if moves[i + 1]:
+                np.matmul(moved[i + 1], carry, out=carries[k])
+            else:
+                carries[k] = carry
+            if i in begins:
+                carries[k, begins[i]] = eye
+            carry = carries[k]
+        carry = carry.copy()  # the next block overwrites carries
+        # part[r]: acc after the block's first r live steps, from the running acc
+        live_k = np.flatnonzero(live[lo:hi][::-1])
+        part = np.empty((live_k.size + 1, *acc.shape))
+        part[0] = acc
+        np.matmul(left[hi - 1 - live_k][:, None], carries[live_k], out=part[1:])
+        np.cumsum(part, axis=0, out=part)
+        acc = part[-1].copy()
+        for r in range(block_rounds[b], block_rounds[b + 1]):
+            t = slice(bounds[r], bounds[r + 1])
+            if is_jump[t.start]:
+                k = hi - 1 - step[t]
+                vals = carries[k, :, dst[t]]
+                vals -= carries[k, :, src[t]]
+            else:
+                vals = part[live_from[step[t]] - live_from[hi], :, src[t]]
+            vals *= weight[t, None, None]
+            out[subj[t]] += vals
+    out += acc[:, size]
+    out *= np.sqrt(phi)
+    return out
 
 
 def hazard_covariance(
@@ -333,9 +426,7 @@ def hazard_covariance(
     grid=None,
 ) -> CovarianceSurface:
     """Plug-in covariance surface of one hazard entry."""
-    if grid is None:
-        grid = default_surface_grid(hazard.times)
-    grid = np.asarray(grid, dtype=float)
+    grid = _surface_grid(grid, hazard.times)
     rows = zeta_values(sample, hazard, phi, pair, grid)
     return _gram(rows, w.weights, grid)
 
@@ -349,8 +440,6 @@ def occupation_covariance(
     grid=None,
 ) -> dict[int, CovarianceSurface]:
     """Plug-in covariance surfaces of every state occupation entry."""
-    if grid is None:
-        grid = default_surface_grid(hazard.times)
-    grid = np.asarray(grid, dtype=float)
+    grid = _surface_grid(grid, hazard.times)
     rows = gamma_values(sample, hazard, occupation, phi, grid)
     return {s: _gram(rows[:, :, i], w.weights, grid) for i, s in enumerate(hazard.states)}

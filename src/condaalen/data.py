@@ -166,14 +166,25 @@ class _Columns:
         index = {s: i for i, s in enumerate(states)}
         jumps = [jump for p in paths for jump in p.jumps]
         times, labels = zip(*jumps) if jumps else ((), ())
+        try:
+            init = np.array([index[p.initial_state] for p in paths], dtype=np.intp)
+            state = np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+        except KeyError:
+            subject, label = next(
+                (subject, label)
+                for subject, p in enumerate(paths)
+                for label in (p.initial_state, *(s for _, s in p.jumps))
+                if label not in index
+            )
+            raise ValueError(f"subject {subject}: unknown state label {label}") from None
         return cls(
             covariates=np.array([p.covariates for p in paths], float).reshape(len(paths), dim),
-            init=np.array([index[p.initial_state] for p in paths], dtype=np.intp),
+            init=init,
             end_time=np.array([p.end_time for p in paths], dtype=float),
             censored=np.array([p.end_reason == CENSORED for p in paths], dtype=bool),
             subj=np.repeat(np.arange(len(paths)), [len(p.jumps) for p in paths]),
             time=np.array(times, dtype=float),
-            state=np.fromiter(map(index.__getitem__, labels), np.intp, len(labels)),
+            state=state,
         )
 
     def paths(self, states) -> tuple[ObservedPath, ...]:

@@ -240,3 +240,20 @@ def test_default_surface_grid_limits():
 def test_surface_shape_validation():
     with pytest.raises(ValueError):
         CovarianceSurface(np.array([1.0, 2.0]), np.zeros((3, 3)))
+
+
+NAN_GRIDS = [([float("nan")], 0), ([0.5, float("nan")], 1)]
+
+
+@pytest.mark.parametrize("grid,pos", NAN_GRIDS)
+def test_hazard_covariance_refuses_nan_grid_point(sim_sample, grid, pos):
+    r = fit(sim_sample, (0.5,))
+    with pytest.raises(ValueError, match=f"^surface grid point {pos} is NaN$"):
+        hazard_covariance(sim_sample, r.weights, r.hazard, r.phi, (1, 2), grid)
+
+
+@pytest.mark.parametrize("grid,pos", NAN_GRIDS)
+def test_occupation_covariance_refuses_nan_grid_point(sim_sample, grid, pos):
+    r = fit(sim_sample, (0.5,))
+    with pytest.raises(ValueError, match=f"^surface grid point {pos} is NaN$"):
+        occupation_covariance(sim_sample, r.weights, r.hazard, r.occupation, r.phi, grid)

@@ -13,6 +13,7 @@ from condaalen.data import (
     validate,
     write_sample,
 )
+from condaalen.estimators import fit
 
 BASIC = """id,time,state,end,x1
 a,0,1,,0.3
@@ -263,6 +264,21 @@ def test_validate_names_subjects_by_label(tmp_path):
     text = BASIC.replace("b,0.9,2,,", "b,0.9,3,,")  # b leaves the absorbing state 3
     with pytest.raises(ValidationError, match=r"^id 'b' \(line 5\): jump out of absorbing state 3"):
         load_sample(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize("initial,jumps", [(4, ()), (1, ((0.5, 2), (0.7, 4)))])
+@pytest.mark.parametrize("entry", ["fit", "table", "write_sample"])
+def test_unknown_state_label_names_subject(tmp_path, entry, initial, jumps):
+    ok = ObservedPath((0.1,), 1, (), 1.0, CENSORED)
+    bad = ObservedPath((0.2,), initial, jumps, 1.0, CENSORED)
+    sample = Sample((ok, bad), _space())
+    calls = {
+        "fit": lambda: fit(sample, (0.1,)),
+        "table": lambda: sample.table,
+        "write_sample": lambda: write_sample(sample, tmp_path / "out.csv"),
+    }
+    with pytest.raises(ValueError, match=r"^subject 1: unknown state label 4$"):
+        calls[entry]()
 
 
 def test_state_space_validation():
