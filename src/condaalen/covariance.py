@@ -27,18 +27,25 @@ One backward pass over the event grid carries ``P(i, g)`` for every
 ``g`` as a stack, with a running sum for the common part and one per
 state for the at-risk part. A stay adds its state's sum at its entry
 and subtracts it at its exit; a jump adds its own term where it
-happens. Only the carry recursion runs step by step, one (G, S, S)
-product a step. The rest runs once per block of steps: one stacked
-product of the live steps' left rows with the block's carries, a
-cumulative sum that starts from the running sums, and the stay and
-jump terms, added into the subjects' rows in rounds.
+happens. The carries are stored state row first: ``carry[j, g, c]`` is
+entry ``(j, c)`` of point ``g``'s product, so each row holds all G
+points. Only the carry recursion runs step by step, one
+(S, S) x (S, G*S) product a step. The rest runs once per block of
+steps: one product per live step of its left rows with its carries,
+stacked in one call, a cumulative sum that starts from the running
+sums, and the stay and jump terms, added into the subjects' rows in
+rounds.
 
 The blocks keep the bits of a step-by-step pass because every
-floating-point operation stays the same. Each partial sum is the
-running sum plus one step's term. Each subject receives its additions
-in the pass's order: step descending, then a step's stay boundaries
-before its own jumps, each in table order. Round r of a block adds
-every subject's r-th term of the block, so no round repeats a subject.
+floating-point operation stays the same. A wide product gives each
+point the bits of its own (S, S) product as long as the BLAS computes
+every column alike; OpenBLAS's Haswell, SkylakeX and Sandybridge
+kernels do, its Nehalem kernel does not at S = 5 or 7. Each partial sum
+is the running sum plus one step's term. Each subject receives its
+additions in the pass's order: step descending, then a step's stay
+boundaries before its own jumps, each in table order. Round r of a
+block adds every subject's r-th term of the block, so no round repeats
+a subject.
 
 For m event times, G surface-grid points and S states the pass costs
 O(m G S^3 + (#stays + #jumps) G S) arithmetic, linear in n, and needs
@@ -205,16 +212,29 @@ def default_surface_grid(times: np.ndarray, size: int = 50) -> np.ndarray:
 def _surface_grid(grid, times: np.ndarray) -> np.ndarray:
     """A caller's surface grid as floats, or the default one over ``times``.
 
-    A NaN point is refused: the grid lookup would sort it after every
-    event time and read it as the last one.
+    A grid that is not one-dimensional is refused, and so is a NaN point:
+    the grid lookup would sort it after every event time and read it as
+    the last one.
     """
     if grid is None:
         return default_surface_grid(times)
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"surface grid must be one-dimensional, got shape {grid.shape}")
     nan = np.flatnonzero(np.isnan(grid))
     if nan.size:
         raise ValueError(f"surface grid point {nan[0]} is NaN")
     return grid
+
+
+def _pair_index(states, pair) -> tuple[int, int]:
+    """Positions in ``states`` of a pair's two labels, which must differ."""
+    for label in pair:
+        if label not in states:
+            raise ValueError(f"state pair {pair}: unknown state label {label}")
+    if pair[0] == pair[1]:
+        raise ValueError(f"state pair {pair}: a hazard needs two different states")
+    return states.index(pair[0]), states.index(pair[1])
 
 
 def zeta_values(
@@ -232,7 +252,7 @@ def zeta_values(
     samples stay cheap.
     """
     grid = hazard.times
-    j, k = hazard.states.index(pair[0]), hazard.states.index(pair[1])
+    j, k = _pair_index(hazard.states, pair)
     eval_times = np.asarray(eval_times, dtype=float)
     n, m = len(sample), len(grid)
     if m == 0:
@@ -330,7 +350,7 @@ def gamma_values(
     eval_times = np.asarray(eval_times, dtype=float)
     n, m, size = len(sample), len(grid), len(hazard.states)
     out = np.zeros((n, eval_times.size, size))
-    if m == 0:
+    if m == 0 or eval_times.size == 0:
         return out
 
     expo_left = hazard.exposure_left()
@@ -358,7 +378,7 @@ def gamma_values(
     # A stay in j over grid indices (entry, exit] adds acc[j] at step
     # entry + 1 and subtracts it at exit + 1, where acc[j] sums left rows
     # carried to the surface grid from the current index onwards. An own
-    # jump adds its coefficient times carry[:, dst] - carry[:, src].
+    # jump adds its coefficient times carry[dst] - carry[src].
     tab = sample.table
     n_stays = tab.soj_subj.size
     step = np.concatenate([tab.soj_entry + 1, tab.soj_exit + 1, tab.pos])
@@ -371,48 +391,56 @@ def gamma_values(
     weight = np.where(order < n_stays, 1.0, -1.0)
     at = (step[is_jump], src[is_jump])
     weight[is_jump] = p_left[at] / denom[at]
+    # the term's slot in its block: carries[row] for a jump, part[row] for a stay
+    live = left.any(axis=(1, 2))
+    live_from = np.append(np.cumsum(live[::-1])[::-1], 0)  # live steps at index >= i
+    back = m - 1 - step
+    top = m - back // per_block * per_block  # the end of the term's block
+    row = np.where(is_jump, back % per_block, live_from[step] - live_from[top])
 
-    # carry = product of (I + dA_l) over l in (i, idx_g], zero once i > idx_g
+    # carry[j, g, c] = entry (j, c) of the product of (I + dA_l) over l in
+    # (i, idx_g], zero once i > idx_g; with the point axis inside, a step's
+    # products over all g are one (S, S) x (S, G*S) product
     idx_g = np.searchsorted(grid, eval_times, side="right") - 1
     begins = {i: np.flatnonzero(idx_g == i) for i in np.unique(idx_g[idx_g >= 0]).tolist()}
     eye = np.eye(size)
     moved = eye + d_haz
     moves = d_haz.any(axis=(1, 2)).tolist() + [False]
-    live = left.any(axis=(1, 2))
-    live_from = np.append(np.cumsum(live[::-1])[::-1], 0)  # live steps at index >= i
-    carry = np.zeros((eval_times.size, size, size))
-    carries = np.empty((per_block, *carry.shape))
-    acc = np.zeros((eval_times.size, size + 1, size))
+    width = eval_times.size * size
+    carry = np.zeros((size, width))
+    carries = np.empty((per_block, size, eval_times.size, size))
+    flat = carries.reshape(per_block, size, width)
+    acc = np.zeros((size + 1, eval_times.size, size))
     for b, hi in enumerate(range(m, 0, -per_block)):
         lo = max(hi - per_block, 0)
         # carries[k]: the carry at step hi - 1 - k
         for k, i in enumerate(range(hi - 1, lo - 1, -1)):
             if moves[i + 1]:
-                np.matmul(moved[i + 1], carry, out=carries[k])
+                np.matmul(moved[i + 1], carry, out=flat[k])
             else:
-                carries[k] = carry
+                flat[k] = carry
             if i in begins:
-                carries[k, begins[i]] = eye
-            carry = carries[k]
+                carries[k][:, begins[i], :] = eye[:, None, :]
+            carry = flat[k]
         carry = carry.copy()  # the next block overwrites carries
         # part[r]: acc after the block's first r live steps, from the running acc
         live_k = np.flatnonzero(live[lo:hi][::-1])
         part = np.empty((live_k.size + 1, *acc.shape))
         part[0] = acc
-        np.matmul(left[hi - 1 - live_k][:, None], carries[live_k], out=part[1:])
+        terms = part[1:].reshape(live_k.size, size + 1, width)
+        np.matmul(left[hi - 1 - live_k], flat[live_k], out=terms)
         np.cumsum(part, axis=0, out=part)
         acc = part[-1].copy()
         for r in range(block_rounds[b], block_rounds[b + 1]):
             t = slice(bounds[r], bounds[r + 1])
             if is_jump[t.start]:
-                k = hi - 1 - step[t]
-                vals = carries[k, :, dst[t]]
-                vals -= carries[k, :, src[t]]
+                vals = carries[row[t], dst[t]]
+                vals -= carries[row[t], src[t]]
             else:
-                vals = part[live_from[step[t]] - live_from[hi], :, src[t]]
+                vals = part[row[t], src[t]]
             vals *= weight[t, None, None]
             out[subj[t]] += vals
-    out += acc[:, size]
+    out += acc[size]
     out *= np.sqrt(phi)
     return out
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -257,3 +259,53 @@ def test_occupation_covariance_refuses_nan_grid_point(sim_sample, grid, pos):
     r = fit(sim_sample, (0.5,))
     with pytest.raises(ValueError, match=f"^surface grid point {pos} is NaN$"):
         occupation_covariance(sim_sample, r.weights, r.hazard, r.occupation, r.phi, grid)
+
+
+EMPTY_GRIDS = [
+    lambda times: [],
+    lambda times: np.empty(0),
+    lambda times: default_surface_grid(times, 0),
+]
+
+
+@pytest.mark.parametrize("make_grid", EMPTY_GRIDS, ids=["list", "array", "default"])
+def test_empty_surface_grid_gives_empty_surfaces(sim_sample, make_grid):
+    r = fit(sim_sample, (0.5,))
+    grid = make_grid(r.hazard.times)
+    rows = gamma_values(sim_sample, r.hazard, r.occupation, r.phi, grid)
+    assert rows.shape == (len(sim_sample), 0, len(r.hazard.states))
+    occ = occupation_covariance(sim_sample, r.weights, r.hazard, r.occupation, r.phi, grid)
+    assert list(occ) == list(r.hazard.states)
+    for surf in occ.values():
+        assert surf.grid.shape == (0,) and surf.values.shape == (0, 0)
+    surf = hazard_covariance(sim_sample, r.weights, r.hazard, r.phi, (1, 2), grid)
+    assert surf.grid.shape == (0,) and surf.values.shape == (0, 0)
+
+
+@pytest.mark.parametrize("grid,shape", [([[0.5, 1.0]], "(1, 2)"), (0.5, "()")])
+def test_surfaces_refuse_grid_that_is_not_one_dimensional(sim_sample, grid, shape):
+    r = fit(sim_sample, (0.5,))
+    message = "^" + re.escape(f"surface grid must be one-dimensional, got shape {shape}") + "$"
+    with pytest.raises(ValueError, match=message):
+        hazard_covariance(sim_sample, r.weights, r.hazard, r.phi, (1, 2), grid)
+    with pytest.raises(ValueError, match=message):
+        occupation_covariance(sim_sample, r.weights, r.hazard, r.occupation, r.phi, grid)
+
+
+@pytest.mark.parametrize(
+    "pair,message",
+    [
+        ((1, 1), "state pair (1, 1): a hazard needs two different states"),
+        ((3, 3), "state pair (3, 3): a hazard needs two different states"),
+        ((1, 9), "state pair (1, 9): unknown state label 9"),
+        ((0, 2), "state pair (0, 2): unknown state label 0"),
+    ],
+    ids=["same", "same-absorbing", "unknown-second", "unknown-first"],
+)
+def test_hazard_surfaces_refuse_meaningless_pair(sim_sample, pair, message):
+    r = fit(sim_sample, (0.5,))
+    grid = default_surface_grid(r.hazard.times, 5)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        hazard_covariance(sim_sample, r.weights, r.hazard, r.phi, pair, grid)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        zeta_values(sim_sample, r.hazard, r.phi, pair, grid)

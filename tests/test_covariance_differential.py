@@ -6,6 +6,16 @@ it replaced is kept here as the oracle. Both must give the same bits for
 every subject, so each subject has to receive the same additions in the
 same order. The block budget is also shrunk to one step, two steps and
 one term per round, so that block and round edges fall everywhere.
+
+``gamma_values`` stores each step's G carries with the surface-point axis
+inside, so a step's products are one 2-D (S, S) x (S, G*S) product and a
+block's partial sums one stacked product, where the oracle makes one
+product per point. That needs the host's BLAS to give a wide product the
+bits of its narrow slices; the first two tests check that directly.
+OpenBLAS's Nehalem kernel breaks it at S = 5 and 7, and the five-state
+samples below show that in ``gamma_values`` itself: with three states a
+step's products rarely sum more than two nonzero terms, whose order
+cannot change the bits.
 """
 
 from unittest import mock
@@ -13,12 +23,72 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_differential import TICK, fits
 
 from condaalen import covariance
 from condaalen.covariance import default_surface_grid, gamma_values
+from condaalen.data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace, validate
 from condaalen.estimators import _generator, fit
 from condaalen.simulate import default_scenario, simulate_sample
+
+
+# Signed zeros, subnormals and values whose products overflow or underflow.
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300, 1e-300, -1e-300])
+
+
+@st.composite
+def factors(draw, stacked):
+    """A left factor of S or S + 1 rows and a stack of G (S, S) carries."""
+    size = draw(st.integers(2, 5))
+    points = draw(st.integers(1, 200))
+    rows = size + draw(st.integers(0, 1))
+    lead = (draw(st.integers(1, 12)),) if stacked else ()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = draw(st.sampled_from([0.0, 0.05, 0.5]))
+
+    def mix(shape):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        pick = rng.random(shape) < special
+        a[pick] = rng.choice(SPECIAL, pick.sum())
+        return a
+
+    return mix((*lead, rows, size)), mix((*lead, points, size, size))
+
+
+def _point_inside(carry):
+    """(..., G, S, S) carries as the (..., S, G*S) layout of ``gamma_values``."""
+    *lead, points, size, _ = carry.shape
+    inside = np.ascontiguousarray(np.moveaxis(carry, -3, -2))
+    return inside.reshape(*lead, size, points * size)
+
+
+@given(factors(stacked=False))
+@settings(max_examples=400, deadline=None)
+def test_wide_carry_product_has_per_point_bits(case):
+    moved, carry = case
+    expect = np.empty((carry.shape[0], *moved.shape))
+    wide = np.empty((moved.shape[0], carry.shape[0] * carry.shape[2]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(moved, carry, out=expect)
+        np.matmul(moved, _point_inside(carry), out=wide)
+    got = wide.reshape(moved.shape[0], carry.shape[0], -1).transpose(1, 0, 2)
+    assert _same_bits(np.ascontiguousarray(got), expect)
+
+
+@given(factors(stacked=True))
+@settings(max_examples=400, deadline=None)
+def test_stacked_block_product_has_per_point_bits(case):
+    left, carries = case
+    steps, rows = left.shape[:2]
+    points = carries.shape[1]
+    expect = np.empty((steps, points, rows, left.shape[2]))
+    wide = np.empty((steps, rows, points * left.shape[2]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(left[:, None], carries, out=expect)
+        np.matmul(left, _point_inside(carries), out=wide)
+    got = wide.reshape(steps, rows, points, -1).transpose(0, 2, 1, 3)
+    assert _same_bits(np.ascontiguousarray(got), expect)
 
 
 def _stepwise_gamma_values(sample, hazard, occupation, phi, eval_times):
@@ -128,3 +198,41 @@ def default_3000():
 def test_gamma_values_matches_stepwise_pass_at_n3000(default_3000, coord):
     r = fit(default_3000, (coord,))
     _assert_blocked_matches_stepwise(default_3000, r, default_surface_grid(r.hazard.times))
+
+
+def _five_state_sample(n, seed):
+    """Paths over five states on a coarse time lattice, state 5 absorbing.
+
+    Jumps of different subjects and censoring times share lattice points,
+    so a step can carry several transitions out of one state, which makes
+    the carry products sums of more than two nonzero terms.
+    """
+    rng = np.random.default_rng(seed)
+    space = StateSpace((1, 2, 3, 4, 5), frozenset({5}))
+    paths = []
+    for _ in range(n):
+        x = (float(rng.choice([0.0, 0.25, 0.5, 1.0])),)
+        state = initial = int(rng.integers(1, 5))
+        end = int(rng.integers(1, 16))
+        jumps, tick = [], 0
+        while True:
+            tick += int(rng.integers(1, 4))
+            if tick > end:
+                paths.append(ObservedPath(x, initial, tuple(jumps), end * TICK, CENSORED))
+                break
+            state = int(rng.choice([s for s in space.states if s != state]))
+            jumps.append((tick * TICK, state))
+            if state == 5:
+                paths.append(ObservedPath(x, initial, tuple(jumps), tick * TICK, ABSORBED))
+                break
+    return Sample(tuple(paths), space)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gamma_values_matches_stepwise_pass_with_five_states(seed):
+    sample = _five_state_sample(200, seed)
+    assert validate(sample) == []
+    r = fit(sample, (0.5,))
+    times = r.hazard.times
+    grid = np.concatenate([[0.0], times, times + TICK / 2])
+    _assert_blocked_matches_stepwise(sample, r, grid, _budgets(grid.size, 5))
