@@ -27,25 +27,27 @@ One backward pass over the event grid carries ``P(i, g)`` for every
 ``g`` as a stack, with a running sum for the common part and one per
 state for the at-risk part. A stay adds its state's sum at its entry
 and subtracts it at its exit; a jump adds its own term where it
-happens. The carries are stored state row first: ``carry[j, g, c]`` is
-entry ``(j, c)`` of point ``g``'s product, so each row holds all G
-points. Only the carry recursion runs step by step, one
-(S, S) x (S, G*S) product a step. The rest runs once per block of
-steps: one product per live step of its left rows with its carries,
-stacked in one call, a cumulative sum that starts from the running
-sums, and the stay and jump terms, added into the subjects' rows in
-rounds.
+happens. Points with the same grid index share their values, so the
+pass runs over the distinct indices, and a point adds nothing above its
+index, so a block of steps works only on the points that start in or
+above it. Only the carry recursion runs step by step, one (S, S)
+product per point a step, in one call. The rest runs once per block of
+steps: one call for the products of the live steps' left rows with the
+block's carries, a cumulative sum that starts from the running sums,
+and the stay and jump terms, added into the subjects' rows a chunk of
+subjects at a time.
 
 The blocks keep the bits of a step-by-step pass because every
-floating-point operation stays the same. A wide product gives each
-point the bits of its own (S, S) product as long as the BLAS computes
-every column alike; OpenBLAS's Haswell, SkylakeX and Sandybridge
-kernels do, its Nehalem kernel does not at S = 5 or 7. Each partial sum
+floating-point operation stays the same. Every product is still one
+(S, S) or (S + 1, S) by (S, S) product per point; the carries are
+stored state row first, so that a term is one slice of a row, and the
+BLAS reads a point's matrix with its rows G*S floats apart. A point
+that has not started would only add zeros to zeros. Each partial sum
 is the running sum plus one step's term. Each subject receives its
 additions in the pass's order: step descending, then a step's stay
-boundaries before its own jumps, each in table order. Round r of a
-block adds every subject's r-th term of the block, so no round repeats
-a subject.
+boundaries before its own jumps, each in table order. A chunk lays out
+its terms by their rank among their subject's terms, and the r-th terms
+of its subjects go in with one slice add, so no add repeats a subject.
 
 For m event times, G surface-grid points and S states the pass costs
 O(m G S^3 + (#stays + #jumps) G S) arithmetic, linear in n, and needs
@@ -297,38 +299,68 @@ def zeta_values(
     return np.sqrt(phi) * out
 
 
-def _rounds(step, is_jump, subj, n, m, per_block, per_round):
-    """Order the additions of the backward pass into rounds of distinct subjects.
+def _chunks(step, is_jump, subj, n, m, per_block, per_chunk):
+    """Lay out the additions of the backward pass by block, chunk, rank and subject.
 
     Each addition into a subject's row is one term at grid step ``step``.
     The pass walks the steps in blocks of ``per_block`` from the top, and
     every subject must receive its terms in loop order: step descending,
     a step's stay boundaries before its own jumps, each kind in table
-    order. The r-th terms of a block, one for each subject that has one,
-    form a round of stays and then a round of jumps, so no round repeats
-    a subject; a round holds at most ``per_round`` terms. Terms at step
-    ``m`` add nothing and are dropped. Returns the kept term indices in
-    round order, the bounds of the rounds in that order, and the bounds
-    of each block's rounds, block 0 holding the top ``per_block`` steps.
+    order. A term's rank is its place in that order among its subject's
+    terms of the block. A block's subjects, most terms first, are cut
+    into chunks of about ``per_chunk`` rows, a row for each subject and
+    each term. A chunk lays out its terms by rank, then subject, so the
+    subjects with an r-th term lead the chunk and rank r adds to a
+    leading slice of its subjects' rows. Terms at step ``m`` add nothing
+    and are dropped.
+
+    Returns the kept term indices in layout order, the chunks' subjects
+    in order, and for each block its chunks as ``(lo, hi, edges)``: the
+    chunk's subjects are ``[lo, hi)`` of that array, and ``edges`` bound
+    its ranks' runs of terms, from its first term to its last.
     """
     keep = np.flatnonzero(step < m)
-    loop = keep[np.argsort((m - step[keep]) * 2 + is_jump[keep], kind="stable")]
-    block = (m - 1 - step[loop]) // per_block
-    group = block * n + subj[loop]
-    by_group = np.argsort(group, kind="stable")
-    rank = np.empty_like(by_group)
-    rank[by_group] = _run_position(group[by_group])
-    key = (block * (rank.max(initial=0) + 1) + rank) * 2 + is_jump[loop]
-    by_key = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(_run_position(key[by_key]) % per_round == 0)
-    blocks = np.searchsorted(block[by_key][starts], np.arange((m - 1) // per_block + 2))
-    return loop[by_key], np.append(starts, key.size), blocks
+    # the terms by (block, subject) pair, in loop order within a pair
+    pair = (m - 1 - step[keep]) // per_block * n + subj[keep]
+    by_pair = np.argsort(pair * (2 * m + 2) + (m - step[keep]) * 2 + is_jump[keep], kind="stable")
+    terms, pair = keep[by_pair], pair[by_pair]
+    first = np.flatnonzero(_fresh(pair))
+    count = np.diff(first, append=pair.size)
+    which = np.repeat(np.arange(first.size), count)
+    rank = np.arange(pair.size) - first[which]
+    # the pairs in chunk order, by block and then most terms first, and
+    # the chunks, of about per_chunk rows: a row of out and one per term
+    most = int(count.max(initial=0))
+    p_block = pair[first] // n
+    by_count = np.argsort(p_block * (most + 1) + most - count, kind="stable")
+    p_block, rows = p_block[by_count], count[by_count] + 1
+    before = np.cumsum(rows) - rows
+    local = (before - before[np.searchsorted(p_block, p_block)]) // per_chunk
+    fresh = _fresh(p_block, local)
+    place = np.empty_like(by_count)
+    place[by_count] = np.arange(by_count.size)
+    t_place = place[which]
+    t_chunk = (np.cumsum(fresh) - 1)[t_place]
+    # the layout: by chunk, then rank, then pair; edges start each rank's run
+    lay = np.argsort((t_chunk * most + rank) * by_count.size + t_place)
+    t_chunk, rank = t_chunk[lay], rank[lay]
+    edges = np.flatnonzero(_fresh(t_chunk, rank)).tolist() + [lay.size]
+    starts = np.flatnonzero(fresh)
+    firsts = np.searchsorted(edges, np.searchsorted(t_chunk, np.arange(starts.size + 1)))
+    s_bounds = np.append(starts, by_count.size).tolist()
+    by_block = [[] for _ in range((m - 1) // per_block + 1)]
+    for c, b in enumerate(p_block[starts].tolist()):
+        by_block[b].append((s_bounds[c], s_bounds[c + 1], edges[firsts[c] : firsts[c + 1] + 1]))
+    return terms[lay], (pair[first] % n)[by_count], by_block
 
 
-def _run_position(keys: np.ndarray) -> np.ndarray:
-    """Position of each entry of a sorted array within its run of equal entries."""
-    first = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
-    return np.arange(keys.size) - np.repeat(first, np.diff(first, append=keys.size))
+def _fresh(*keys: np.ndarray) -> np.ndarray:
+    """Where any of equal-length keys differs from its previous entry; True at 0."""
+    fresh = np.zeros(keys[0].size, dtype=bool)
+    fresh[:1] = True
+    for key in keys:
+        fresh[1:] |= key[1:] != key[:-1]
+    return fresh
 
 
 def gamma_values(
@@ -349,9 +381,8 @@ def gamma_values(
     grid = hazard.times
     eval_times = np.asarray(eval_times, dtype=float)
     n, m, size = len(sample), len(grid), len(hazard.states)
-    out = np.zeros((n, eval_times.size, size))
     if m == 0 or eval_times.size == 0:
-        return out
+        return np.zeros((n, eval_times.size, size))
 
     expo_left = hazard.exposure_left()
     denom = np.maximum(expo_left, hazard.epsilon)
@@ -369,11 +400,11 @@ def gamma_values(
     left = np.concatenate([p_left[:, :, None] * at_risk, p_left[:, None, :] @ common], axis=1)
 
     # A block of steps holds its carries, their live copies and its
-    # partial sums, 3S + 1 cells of G x S floats a step; a round holds
-    # its terms and the rows of out they update.
+    # partial sums, 3S + 1 cells of G x S floats a step; a chunk holds
+    # its subjects' rows of out and their terms, a cell each.
     cell = eval_times.size * size * 8
     per_block = max(1, _BLOCK_BYTES // (cell * (3 * size + 1)))
-    per_round = max(1, _BLOCK_BYTES // (2 * cell))
+    per_chunk = max(1, _BLOCK_BYTES // cell)
 
     # A stay in j over grid indices (entry, exit] adds acc[j] at step
     # entry + 1 and subtracts it at exit + 1, where acc[j] sums left rows
@@ -384,8 +415,8 @@ def gamma_values(
     step = np.concatenate([tab.soj_entry + 1, tab.soj_exit + 1, tab.pos])
     is_jump = np.arange(step.size) >= 2 * n_stays
     subj = np.concatenate([tab.soj_subj, tab.soj_subj, tab.subj])
-    order, bounds, block_rounds = _rounds(step, is_jump, subj, n, m, per_block, per_round)
-    step, is_jump, subj = step[order], is_jump[order], subj[order]
+    order, rows_subj, by_block = _chunks(step, is_jump, subj, n, m, per_block, per_chunk)
+    step, is_jump = step[order], is_jump[order]
     src = np.concatenate([tab.soj_state, tab.soj_state, tab.src])[order]
     dst = np.concatenate([tab.soj_state, tab.soj_state, tab.dst])[order]
     weight = np.where(order < n_stays, 1.0, -1.0)
@@ -397,52 +428,87 @@ def gamma_values(
     back = m - 1 - step
     top = m - back // per_block * per_block  # the end of the term's block
     row = np.where(is_jump, back % per_block, live_from[step] - live_from[top])
+    # the jumps and the stays apart, each in layout order, with the rows of
+    # carries (S a step) and of part (S + 1 a step) that they read
+    jumps_before = np.append(0, np.cumsum(is_jump)).tolist()
+    j_at = np.flatnonzero(is_jump)
+    j_dst, j_src = (row[j_at] * size + x[j_at] for x in (dst, src))
+    j_weight = weight[j_at, None]
+    s_at = np.flatnonzero(~is_jump)
+    s_row = row[s_at] * (size + 1) + src[s_at]
+    s_weight = weight[s_at, None]
 
-    # carry[j, g, c] = entry (j, c) of the product of (I + dA_l) over l in
-    # (i, idx_g], zero once i > idx_g; with the point axis inside, a step's
-    # products over all g are one (S, S) x (S, G*S) product
+    # Points with the same grid index get the same values, so the pass
+    # runs over the distinct indices, ascending: point u starts at step
+    # ends[u], adds nothing above it, and a block works on the points from
+    # f, the first that starts in or above it. carry[j, u, c] is entry
+    # (j, c) of the product of (I + dA_l) over l in (i, ends[u]]; its row j
+    # holds every point's row j, as part, acc and out hold theirs, so a
+    # term is one row slice. The products still run point by point, on
+    # (S, S) matrices whose rows lie G*S apart.
     idx_g = np.searchsorted(grid, eval_times, side="right") - 1
-    begins = {i: np.flatnonzero(idx_g == i) for i in np.unique(idx_g[idx_g >= 0]).tolist()}
+    ends, point = np.unique(idx_g, return_inverse=True)
+    begins = {i: u for u, i in enumerate(ends.tolist()) if i >= 0}
     eye = np.eye(size)
     moved = eye + d_haz
     moves = d_haz.any(axis=(1, 2)).tolist() + [False]
-    width = eval_times.size * size
-    carry = np.zeros((size, width))
-    carries = np.empty((per_block, size, eval_times.size, size))
-    flat = carries.reshape(per_block, size, width)
-    acc = np.zeros((size + 1, eval_times.size, size))
+    width = ends.size * size
+    carry = np.zeros((size, ends.size, size))
+    carries = np.zeros((per_block, *carry.shape))
+    by_point = carries.transpose(0, 2, 1, 3)  # carries[k] as G (S, S) matrices
+    flat = carries.reshape(per_block * size, width)
+    acc = np.zeros((size + 1, width))
+    out = np.zeros((n, width))
     for b, hi in enumerate(range(m, 0, -per_block)):
         lo = max(hi - per_block, 0)
-        # carries[k]: the carry at step hi - 1 - k
+        f = int(np.searchsorted(ends, lo))
+        cols = slice(f * size, width)
+        # carries[k]: the carry at step hi - 1 - k, zero before point f
+        now = carry.transpose(1, 0, 2)[f:]
         for k, i in enumerate(range(hi - 1, lo - 1, -1)):
+            now, before = by_point[k, f:], now
             if moves[i + 1]:
-                np.matmul(moved[i + 1], carry, out=flat[k])
+                np.matmul(moved[i + 1], before, out=now)
             else:
-                flat[k] = carry
+                now[...] = before
             if i in begins:
-                carries[k][:, begins[i], :] = eye[:, None, :]
-            carry = flat[k]
-        carry = carry.copy()  # the next block overwrites carries
+                now[begins[i] - f] = eye
+        carry = carries[k].copy()  # the next block overwrites carries
         # part[r]: acc after the block's first r live steps, from the running acc
         live_k = np.flatnonzero(live[lo:hi][::-1])
-        part = np.empty((live_k.size + 1, *acc.shape))
-        part[0] = acc
-        terms = part[1:].reshape(live_k.size, size + 1, width)
-        np.matmul(left[hi - 1 - live_k], flat[live_k], out=terms)
-        np.cumsum(part, axis=0, out=part)
-        acc = part[-1].copy()
-        for r in range(block_rounds[b], block_rounds[b + 1]):
-            t = slice(bounds[r], bounds[r + 1])
-            if is_jump[t.start]:
-                vals = carries[row[t], dst[t]]
-                vals -= carries[row[t], src[t]]
-            else:
-                vals = part[row[t], src[t]]
-            vals *= weight[t, None, None]
-            out[subj[t]] += vals
+        part = np.empty((live_k.size + 1, size + 1, width - cols.start))
+        part[0] = acc[:, cols]
+        terms = part[1:].reshape(live_k.size, size + 1, ends.size - f, size)
+        lefts = left[hi - 1 - live_k][:, None]
+        np.matmul(lefts, by_point[live_k, f:], out=terms.transpose(0, 2, 1, 3))
+        for prev, cur in zip(part, part[1:]):
+            np.add(prev, cur, out=cur)
+        acc[:, cols] = part[-1]
+        part_rows = part.reshape(-1, part.shape[2])
+        # a chunk gathers its terms in layout order, then rank r adds to
+        # the rows of the chunk's first q - p subjects
+        for s_lo, s_hi, edges in by_block[b]:
+            a, z = edges[0], edges[-1]
+            rows = out[rows_subj[s_lo:s_hi], cols]
+            vals = np.empty((z - a, rows.shape[1]))
+            t = slice(jumps_before[a], jumps_before[z])
+            if t.start < t.stop:
+                jumps = flat[j_dst[t], cols]
+                jumps -= flat[j_src[t], cols]
+                jumps *= j_weight[t]
+                vals[j_at[t] - a] = jumps
+            t = slice(a - jumps_before[a], z - jumps_before[z])
+            if t.start < t.stop:
+                stays = part_rows[s_row[t]]
+                stays *= s_weight[t]
+                vals[s_at[t] - a] = stays
+            for p, q in zip(edges, edges[1:]):
+                rows[: q - p] += vals[p - a : q - a]
+            out[rows_subj[s_lo:s_hi], cols] = rows
     out += acc[size]
     out *= np.sqrt(phi)
-    return out
+    out = out.reshape(n, ends.size, size)
+    return out if np.array_equal(point, np.arange(point.size)) else out[:, point]
 
 
 def hazard_covariance(

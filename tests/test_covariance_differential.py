@@ -5,17 +5,15 @@ gathers and adds its terms a block of steps at a time. The per-step pass
 it replaced is kept here as the oracle. Both must give the same bits for
 every subject, so each subject has to receive the same additions in the
 same order. The block budget is also shrunk to one step, two steps and
-one term per round, so that block and round edges fall everywhere.
+one subject per chunk, so that block and chunk edges fall everywhere.
 
-``gamma_values`` stores each step's G carries with the surface-point axis
-inside, so a step's products are one 2-D (S, S) x (S, G*S) product and a
-block's partial sums one stacked product, where the oracle makes one
-product per point. That needs the host's BLAS to give a wide product the
-bits of its narrow slices; the first two tests check that directly.
-OpenBLAS's Nehalem kernel breaks it at S = 5 and 7, and the five-state
-samples below show that in ``gamma_values`` itself: with three states a
-step's products rarely sum more than two nonzero terms, whose order
-cannot change the bits.
+Both passes make one product per surface point, of the same shapes. The
+oracle's matrices are contiguous, while ``gamma_values`` stores a step's
+carries state row first, so the rows of a point's matrix lie G*S apart.
+That needs the host's BLAS to give a product the same bits whatever the
+row stride of its operands; the first two tests check that directly.
+The five-state samples below make the carry products sums of more than
+two nonzero terms, which three-state samples rarely do.
 """
 
 from unittest import mock
@@ -56,38 +54,43 @@ def factors(draw, stacked):
     return mix((*lead, rows, size)), mix((*lead, points, size, size))
 
 
-def _point_inside(carry):
-    """(..., G, S, S) carries as the (..., S, G*S) layout of ``gamma_values``."""
-    *lead, points, size, _ = carry.shape
+def _rows_apart(carry):
+    """(..., G, S, S) carries as ``gamma_values`` stores them, state row first.
+
+    Returns a (..., G, S, S) view of a (..., S, G, S) array, so the rows
+    of each (S, S) matrix lie G*S floats apart.
+    """
     inside = np.ascontiguousarray(np.moveaxis(carry, -3, -2))
-    return inside.reshape(*lead, size, points * size)
+    return np.moveaxis(inside, -2, -3)
+
+
+def _rows_apart_empty(shape):
+    """An uninitialised (..., G, R, S) array stored state row first."""
+    *lead, points, rows, size = shape
+    return np.moveaxis(np.empty((*lead, rows, points, size)), -2, -3)
 
 
 @given(factors(stacked=False))
 @settings(max_examples=400, deadline=None)
-def test_wide_carry_product_has_per_point_bits(case):
+def test_strided_carry_product_has_contiguous_bits(case):
     moved, carry = case
     expect = np.empty((carry.shape[0], *moved.shape))
-    wide = np.empty((moved.shape[0], carry.shape[0] * carry.shape[2]))
+    got = _rows_apart_empty(expect.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(moved, carry, out=expect)
-        np.matmul(moved, _point_inside(carry), out=wide)
-    got = wide.reshape(moved.shape[0], carry.shape[0], -1).transpose(1, 0, 2)
+        np.matmul(moved, _rows_apart(carry), out=got)
     assert _same_bits(np.ascontiguousarray(got), expect)
 
 
 @given(factors(stacked=True))
 @settings(max_examples=400, deadline=None)
-def test_stacked_block_product_has_per_point_bits(case):
+def test_strided_block_product_has_contiguous_bits(case):
     left, carries = case
-    steps, rows = left.shape[:2]
-    points = carries.shape[1]
-    expect = np.empty((steps, points, rows, left.shape[2]))
-    wide = np.empty((steps, rows, points * left.shape[2]))
+    expect = np.empty((*carries.shape[:2], *left.shape[1:]))
+    got = _rows_apart_empty(expect.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(left[:, None], carries, out=expect)
-        np.matmul(left, _point_inside(carries), out=wide)
-    got = wide.reshape(steps, rows, points, -1).transpose(0, 2, 1, 3)
+        np.matmul(left[:, None], _rows_apart(carries), out=got)
     assert _same_bits(np.ascontiguousarray(got), expect)
 
 
@@ -158,7 +161,7 @@ def _same_bits(a, b):
 
 
 def _budgets(grid_size, size):
-    """Block budgets that hold one step, two steps, and one term a round.
+    """Block budgets that hold one step, two steps, and one subject a chunk.
 
     A step takes 3S + 1 cells of G x S floats in ``gamma_values``.
     """
