@@ -20,6 +20,14 @@ The cumulative hazard matrix follows the generator sign convention: its
 diagonal is the negative row sum of the off-diagonal entries, so each
 one-step factor of the product integral is a stochastic matrix and the
 occupation recursion conserves total mass.
+
+Conditioning leaves many subjects with zero weight, so ``nelson_aalen``
+computes only on the live rows, the grid times where a jump or a
+censoring of nonzero weight happens, and on the occurring cells, the
+(from, to) transitions among those jumps. Every other row and cell
+would only add exact zeros, so the result has the bits of the dense
+pass over the whole ``(m, S, S)`` grid, which the tests keep as the
+reference.
 """
 
 from __future__ import annotations
@@ -120,10 +128,12 @@ def _slice_sum(a: np.ndarray, axis: int) -> np.ndarray:
     into ``+0.0`` as numpy's reduction does (a differential test pins
     both). Whole-slice adds take a fraction of the time of the strided
     reduction. Along the contiguous last axis numpy adds 8 or more
-    entries in pairwise blocks instead, so such a sum stays with numpy.
+    entries in pairwise blocks instead, so such a sum stays with numpy,
+    on a C-ordered copy where ``a`` is a strided view: numpy adds a
+    strided axis entry by entry.
     """
     if axis == a.ndim - 1 and a.shape[axis] >= 8:
-        return a.sum(axis=axis)
+        return np.ascontiguousarray(a).sum(axis=axis)
     total = 0.0
     for part in np.moveaxis(a, axis, 0):
         total = total + part
@@ -136,6 +146,21 @@ def _generator(off: np.ndarray) -> np.ndarray:
     off[..., diag, diag] = 0.0
     off[..., diag, diag] = -_slice_sum(off, off.ndim - 1)
     return off
+
+
+def _outflow(values: np.ndarray, src: np.ndarray, dst: np.ndarray, size: int):
+    """Source states and their outflow sums, ``_slice_sum(full, 2)`` at those rows.
+
+    ``full`` is the ``(L, S, S)`` array that holds ``values[c]`` at cell
+    ``(src[c], dst[c])`` and zeros elsewhere; a state that is no source
+    sums to ``0.0`` there. Each source state's ``(L, S)`` row block goes
+    through ``_slice_sum`` whole, zeros included, so a sum over 8 or more
+    states keeps numpy's pairwise blocks.
+    """
+    sources, row = np.unique(src, return_inverse=True)
+    block = np.zeros((size, sources.size, values.shape[1]))
+    block[dst, row] = values
+    return sources, _slice_sum(block.transpose(1, 2, 0), 2)
 
 
 def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> HazardEstimate:
@@ -152,6 +177,31 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
     ``floor_active``. Count and censoring increments are differences of
     the cumulative arrays, not the raw bincounts, which differ from them
     in the last bits.
+
+    The pass runs on the live rows and the occurring cells only. A live
+    row is a grid time with a jump or a censoring of nonzero weight; an
+    occurring cell is a (from, to) pair among those jumps. Counts,
+    hazards and exposures are kept cell (or state) major, ``(C, L + 1)``
+    for C cells and L live rows, so each cumulative sum runs along
+    contiguous memory. Column ``k`` holds the values after the ``k``-th
+    live row; column 0, the prefix, holds those before the first one:
+    counts 0.0, off-diagonal hazard 0.0, diagonal hazard -0.0 and
+    exposure ``initial``. Each grid row then takes the column of its rank
+    among the live rows, once per output array.
+
+    The bits are those of the dense pass over every row and cell, which
+    the tests keep as the reference. A skipped row or cell would only add
+    exact zeros there: +0.0 to the counts, the off-diagonal hazard and
+    the exposure, -0.0 to the diagonal hazard. ``x + 0.0 == x`` holds
+    for every value those three take, since with weights >= 0 none of
+    them is ever -0.0, and ``x + -0.0 == x`` for every ``x``; the
+    diagonal's leading rows, -0.0 in the dense pass, are what the prefix
+    column reproduces. Outflows and the generator diagonal keep
+    ``_slice_sum``'s association over each source state's whole row,
+    zeros included, which matters from 8 states on, where numpy sums in
+    pairwise blocks (see ``_outflow``). Inflows are slice adds down the
+    source axis, where an absent cell is an exact zero that may be
+    skipped.
 
     Raises
     ------
@@ -170,35 +220,72 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
     grid = event_grid(sample)
     m, size = len(grid), len(states)
 
-    # each cumulative sum overwrites its bincount, which is never read again
-    jump_cell = (tab.pos * size + tab.src) * size + tab.dst
-    jumps = np.bincount(jump_cell, weights=w[tab.subj], minlength=m * size * size)
-    jumps = jumps.reshape(m, size, size)
-    counts = StepMatrix(grid, np.cumsum(jumps, axis=0, out=jumps))
-    d_counts = counts.increments()
+    # only jumps and censorings of nonzero weight add more than exact zeros
+    wj = w[tab.subj]
+    moved = np.flatnonzero(wj != 0.0)
+    pos = tab.pos[moved]
+    cell = tab.src[moved] * size + tab.dst[moved]
+    censored = np.flatnonzero(tab.censored & (w != 0.0))
+    end = tab.end_pos[censored]
+    live = np.zeros(m, dtype=bool)
+    live[pos] = True
+    live[end] = True
+    rank = np.cumsum(live)  # each grid row's column: the live rows up to it
+    width = 1 + (int(rank[-1]) if m else 0)
 
-    cens_cell = tab.end_pos[tab.censored] * size + tab.final[tab.censored]
-    cens = np.bincount(cens_cell, weights=w[tab.censored], minlength=m * size).reshape(m, size)
-    d_cens = np.diff(np.cumsum(cens, axis=0, out=cens), axis=0, prepend=0.0)
+    present = np.bincount(cell, minlength=size * size) > 0
+    cells = np.flatnonzero(present)
+    src, dst = np.divmod(cells, size)
+    slot = np.cumsum(present) - 1  # each cell's row among the occurring ones
+    # each cumulative sum overwrites its bincount, which is never read again;
+    # a bincount of nothing comes out int
+    counts = np.bincount(
+        slot[cell] * width + rank[pos], weights=wj[moved], minlength=cells.size * width
+    ).reshape(cells.size, width).astype(float, copy=False)
+    d_counts = np.diff(np.cumsum(counts, axis=1, out=counts), axis=1)
 
+    # the flow, inflow minus outflow minus censoring, summed in place into expo
     initial = np.bincount(tab.init, weights=w, minlength=size)
-    expo = initial + np.cumsum(_slice_sum(d_counts, 1) - _slice_sum(d_counts, 2) - d_cens, axis=0)
-    expo_left = np.vstack([initial, expo])[:-1]
+    expo = np.zeros((size, width))
+    flow = expo[:, 1:]
+    for c, b in enumerate(dst):
+        flow[b] += d_counts[c]
+    sources, outflow = _outflow(d_counts, src, dst, size)
+    flow[sources] -= outflow
+    cens = np.bincount(
+        tab.final[censored] * width + rank[end], weights=w[censored], minlength=size * width
+    ).reshape(size, width)
+    flow -= np.diff(np.cumsum(cens, axis=1, out=cens), axis=1)
+    np.cumsum(flow, axis=1, out=flow)
+    expo += initial[:, None]
 
-    d_hazard = d_counts  # divided in place: one (m, S, S) array fewer at the peak
-    d_hazard /= np.maximum(expo_left, epsilon)[:, :, None]
-    _generator(d_hazard)
+    d_hazard = d_counts  # divided in place
+    d_hazard /= np.maximum(expo[src, :-1], epsilon)
 
+    # a full-width row per column, then a row per grid time, taken by rank
+    diag = np.arange(size) * (size + 1)
+    flat = np.zeros((width, size * size))
+    flat[:, diag] = -0.0
+    for c, k in enumerate(cells):
+        np.cumsum(d_hazard[c], out=flat[1:, k])
+    _, outflow = _outflow(d_hazard, src, dst, size)
+    for a, series in zip(sources, outflow):
+        np.cumsum(-series, out=flat[1:, diag[a]])
+    hazard = np.take(flat, rank, axis=0, mode="clip").reshape(m, size, size)
+    flat[:, diag] = 0.0
+    flat[:, cells] = counts.T
+    counts = np.take(flat, rank, axis=0, mode="clip").reshape(m, size, size)
+
+    exposure = np.take(expo, rank, axis=1)
+    below = np.take(expo < epsilon, rank - live, axis=1)  # at each row's left limit
     return HazardEstimate(
-        hazard=StepMatrix(grid, np.cumsum(d_hazard, axis=0)),
+        hazard=StepMatrix(grid, hazard),
         epsilon=float(epsilon),
         exposure={
-            s: StepCurve(grid, expo[:, i], float(initial[i])) for i, s in enumerate(states)
+            s: StepCurve(grid, exposure[i], float(initial[i])) for i, s in enumerate(states)
         },
-        counts=counts,
-        floor_active={
-            s: tuple(grid[expo_left[:, i] < epsilon]) for i, s in enumerate(states)
-        },
+        counts=StepMatrix(grid, counts),
+        floor_active={s: tuple(grid[below[i]]) for i, s in enumerate(states)},
         states=states,
     )
 

@@ -42,7 +42,7 @@ from condaalen.estimators import (
     fit,
     nelson_aalen,
 )
-from condaalen.kernels import KernelSpec, nw_weights
+from condaalen.kernels import KernelSpec, WeightVector, nw_weights
 from condaalen.simulate import brute_force_estimator, default_scenario, simulate_sample
 from condaalen.stepfun import StepCurve, StepMatrix
 
@@ -336,6 +336,111 @@ def default_3000():
 def test_nelson_aalen_matches_helper_chain_at_n3000(default_3000, coord, epsilon):
     weights = fit(default_3000, (coord,), epsilon=epsilon).weights
     _assert_hazard_bits(default_3000, weights, epsilon)
+
+
+@pytest.mark.parametrize("size", [3, 8, 12])
+def test_slice_sum_keeps_numpy_order_on_any_layout(size):
+    # _outflow hands it transposed views; at 8 or more states numpy sums a
+    # C-ordered row in pairwise blocks and a column-ordered one entry by entry
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((500, 4, size)) * 10.0 ** rng.integers(-20, 20, (500, 4, size))
+    view = np.ascontiguousarray(a.transpose(2, 0, 1)).transpose(1, 2, 0)
+    assert not view.flags.c_contiguous
+    assert _same_bits(_slice_sum(view, 2), a.sum(axis=2))
+
+
+# --- the live-row pass at its edges --------------------------------------
+
+NINE = StateSpace(tuple(range(1, 10)), frozenset())
+
+
+def _nine_state_sample(seed, n=400):
+    """Reversible nine-state paths on the tick grid, so transitions tie."""
+    rng = np.random.default_rng(seed)
+    paths = []
+    for _ in range(n):
+        state = initial = int(rng.integers(1, 10))
+        jumps = []
+        for tick in sorted(rng.choice(np.arange(1, 9), size=rng.integers(0, 4), replace=False)):
+            state = int(rng.choice([s for s in NINE.states if s != state]))
+            jumps.append((tick * TICK, state))
+        last = round(jumps[-1][0] / TICK) if jumps else 1
+        end = int(rng.integers(last, 11)) * TICK
+        covariates = (float(rng.choice((0.0, 0.25, 0.5, FAR))),)
+        paths.append(ObservedPath(covariates, initial, tuple(jumps), end, CENSORED))
+    return Sample(tuple(paths), NINE)
+
+
+def _sequential_row_sums(a):
+    total = 0.0
+    for part in np.moveaxis(a, 2, 0):
+        total = total + part
+    return total
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nelson_aalen_bits_with_nine_states(seed):
+    sample = _nine_state_sample(seed)
+    assert validate(sample) == []
+    weights = nw_weights(sample, (0.25,), KernelSpec.for_dims(1), 0.4)
+    tab = sample.table
+    weighted = weights.weights[tab.subj] != 0.0
+    moves = np.unique(np.stack([tab.pos, tab.src, tab.dst])[:, weighted], axis=1)
+    _, leaving = np.unique(moves[:2], axis=1, return_counts=True)
+    assert leaving.max() >= 3  # three transitions out of one state at one time
+    # numpy's pairwise blocks and entry-by-entry adds differ on this sample,
+    # so the bits below pin the pairwise order of outflows and diagonals
+    want = _literal_nelson_aalen(sample, weights.weights, 1e-4)
+    d_hazard = want.counts.increments() / np.maximum(want.exposure_left(), 1e-4)[:, :, None]
+    assert not _same_bits(d_hazard.sum(axis=2), _sequential_row_sums(d_hazard))
+    _assert_hazard_bits(sample, weights, 1e-4)
+
+
+def test_nelson_aalen_bits_on_an_empty_grid():
+    # an absorbed path without a jump puts no time on the grid (validate refuses it)
+    sample = Sample((ObservedPath((0.5,), 1, (), 1.0, ABSORBED),), SPACE)
+    assert sample.table.grid.size == 0
+    _assert_hazard_bits(sample, WeightVector([1.0], 1.0), 1e-4)
+
+
+def test_nelson_aalen_bits_without_a_weighted_jump():
+    # only a subject outside the kernel window jumps: no cell occurs
+    paths = (
+        ObservedPath((0.5,), 1, (), 1.0, CENSORED),
+        ObservedPath((0.5,), 2, (), 1.5, CENSORED),
+        ObservedPath((FAR,), 1, ((0.5, 2), (1.0, 3)), 1.0, ABSORBED),
+    )
+    sample = Sample(paths, SPACE)
+    weights = nw_weights(sample, (0.5,), KernelSpec.for_dims(1), 0.3)
+    assert weights.weights[2] == 0.0
+    assert not nelson_aalen(sample, weights, 1e-4).counts.values.any()
+    _assert_hazard_bits(sample, weights, 1e-4)
+
+
+def test_nelson_aalen_bits_with_leading_zero_weight_rows():
+    # the first three grid times hold only zero-weight events, so the hazard
+    # diagonal is -0.0 there: the prefix column has to carry it
+    paths = (
+        ObservedPath((FAR,), 1, ((0.25, 2), (0.5, 3)), 0.5, ABSORBED),
+        ObservedPath((FAR,), 2, (), 0.75, CENSORED),
+        ObservedPath((0.5,), 1, ((1.0, 2),), 2.0, CENSORED),
+        ObservedPath((0.5,), 1, ((1.5, 3),), 1.5, ABSORBED),
+        ObservedPath((0.5,), 2, ((1.0, 3),), 1.0, ABSORBED),
+    )
+    sample = Sample(paths, SPACE)
+    weights = nw_weights(sample, (0.5,), KernelSpec.for_dims(1), 0.3)
+    got = nelson_aalen(sample, weights, 1e-4)
+    diag = np.arange(3)
+    assert _same_bits(got.hazard.values[:3, diag, diag], np.full((3, 3), -0.0))
+    _assert_hazard_bits(sample, weights, 1e-4)
+
+
+def test_nelson_aalen_bits_on_a_sweep_shaped_sample(sweep):
+    sample = sweep.sample(2000, 5)
+    for x in sweep.points:
+        weights = fit(sample, x, sweep.spec).weights
+        assert np.count_nonzero(weights.weights) < 0.6 * len(sample)  # the atom halves them
+        _assert_hazard_bits(sample, weights, 1e-4)
 
 
 @pytest.mark.parametrize("coord", [0.1, 0.5, 0.9])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,23 @@ def test_hazard_epsilon_monotone():
     off = ~np.eye(2, dtype=bool)
     gap = small.hazard.hazard.values[:, off] - large.hazard.hazard.values[:, off]
     assert np.all(gap >= -1e-15)
+
+
+def test_nelson_aalen_peak_memory(sweep):
+    # at the benchmark's sweep size (m = 31,818) the dense pass over every
+    # row and cell peaked at 4.6 float arrays of shape (m, S, S): bound 5
+    sample = sweep.sample(20000, 5)
+    m, size = len(sample.table.grid), len(sample.state_space.states)
+    bound = 5 * m * size * size * 8
+    for x in sweep.points:
+        weights = fit(sample, x, sweep.spec).weights
+        tracemalloc.start()
+        try:
+            nelson_aalen(sample, weights, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (x, peak / (m * size * size * 8))
 
 
 def test_hazard_rejects_bad_epsilon():
