@@ -32,6 +32,14 @@ def _thinning_scenario() -> dict:
     return raw
 
 
+def _semi_markov_scenario() -> dict:
+    """The default scenario with a 1->2 rate that reads the duration in state 1."""
+    raw = default_scenario_json(n=400, seed=6)
+    raw["kind"] = "semi_markov"
+    raw["rates"]["1->2"] = "0.8*(1+x1)*(1+0.5*duration)"
+    return raw
+
+
 # name, command line, output path (a file or a directory), scenario to write first
 CASES = [
     (
@@ -59,6 +67,18 @@ CASES = [
         ["fit", "--input", "sample.csv", "--out", "floor", "--x", "0.5"]
         + ["--epsilon", "0.05", "--bandwidth", "0.2"],
         "floor",
+        None,
+    ),
+    (
+        "simulate-semi-markov",
+        ["simulate", "--scenario", "semi.json", "--out", "semi.csv"],
+        "semi.csv",
+        ("semi.json", _semi_markov_scenario()),
+    ),
+    (
+        "fit-semi-markov",
+        ["fit", "--input", "semi.csv", "--out", "semi", "--x", "0.5", "--bandwidth", "0.3"],
+        "semi",
         None,
     ),
 ]
