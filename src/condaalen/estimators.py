@@ -27,7 +27,9 @@ censoring of nonzero weight happens, and on the occurring cells, the
 (from, to) transitions among those jumps. Every other row and cell
 would only add exact zeros, so the result has the bits of the dense
 pass over the whole ``(m, S, S)`` grid, which the tests keep as the
-reference.
+reference. It records the rows where a subject of nonzero weight
+jumps, ``HazardEstimate.rows``; the hazard is constant between them,
+so ``aalen_johansen`` runs its recursion on those rows alone.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .kernels import (
     nw_weights,
     phi_estimate,
 )
-from .stepfun import StepCurve, StepMatrix
+from .stepfun import StepCurve, StepMatrix, _Checked
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,12 @@ class HazardEstimate:
         below ``epsilon``.
     states : tuple[int, ...]
         State label of each matrix axis.
+    rows : np.ndarray
+        Sorted int index of the grid rows where the hazard may move: its
+        increment is zero at every other row, and ``aalen_johansen``
+        reads only these. ``nelson_aalen`` gives the rows where a subject
+        of nonzero weight jumps; left out, it is derived from the rows
+        with a nonzero increment.
     """
 
     hazard: StepMatrix
@@ -77,6 +85,16 @@ class HazardEstimate:
     counts: StepMatrix
     floor_active: dict[int, tuple[float, ...]]
     states: tuple[int, ...]
+    rows: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.rows is None:
+            with np.errstate(invalid="ignore"):  # inf - inf is a nonzero increment, NaN
+                inc = self.hazard.increments()
+            rows = np.flatnonzero((inc != 0.0).any(axis=(1, 2)))
+        else:
+            rows = np.asarray(self.rows, dtype=np.intp)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def times(self) -> np.ndarray:
@@ -229,6 +247,7 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
     end = tab.end_pos[censored]
     live = np.zeros(m, dtype=bool)
     live[pos] = True
+    rows = np.flatnonzero(live)  # the hazard moves on these rows only
     live[end] = True
     rank = np.cumsum(live)  # each grid row's column: the live rows up to it
     width = 1 + (int(rank[-1]) if m else 0)
@@ -278,15 +297,17 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
 
     exposure = np.take(expo, rank, axis=1)
     below = np.take(expo < epsilon, rank - live, axis=1)  # at each row's left limit
+    checked = _Checked(grid)  # one check of the grid for all five step functions
     return HazardEstimate(
-        hazard=StepMatrix(grid, hazard),
+        hazard=StepMatrix(checked, hazard),
         epsilon=float(epsilon),
         exposure={
-            s: StepCurve(grid, exposure[i], float(initial[i])) for i, s in enumerate(states)
+            s: StepCurve(checked, exposure[i], float(initial[i])) for i, s in enumerate(states)
         },
-        counts=StepMatrix(grid, counts),
+        counts=StepMatrix(checked, counts),
         floor_active={s: tuple(grid[below[i]]) for i, s in enumerate(states)},
         states=states,
+        rows=rows,
     )
 
 
@@ -313,7 +334,11 @@ def aalen_johansen(hazard: HazardEstimate, initial) -> OccupationEstimate:
     convention every one-step factor is a stochastic matrix, so the total
     mass of ``initial`` is conserved at every time.
 
-    Cost: a step with ``dA = 0`` leaves ``p`` alone. In continuous time no
+    Cost: a step with ``dA = 0`` leaves ``p`` alone, so the recursion
+    reads only the rows in ``hazard.rows``, L of the m grid rows. Their
+    increments are the differences of the cumulative hazard at those rows
+    and the rows before them (``hazard.hazard.initial`` before row 0), the
+    bits of ``hazard.hazard.increments()`` there. In continuous time no
     two transitions share a time, so a live step has one nonzero row j,
     and ``p @ dA`` in column c is ``p_j * dA_jc`` plus exact zeros. The
     recursion therefore updates just those entries as Python floats,
@@ -325,40 +350,67 @@ def aalen_johansen(hazard: HazardEstimate, initial) -> OccupationEstimate:
     column sum of several nonzero products need not match any fixed
     order of Python additions. The first live step also runs in numpy:
     it turns a ``-0.0`` in ``initial`` into ``+0.0`` as the product does.
-    Each grid time then takes, per state, the value of its last write at
-    or before it (a running maximum over write positions), or ``initial``
-    before the first live step. The values equal those of a step-by-step
-    ``p + p @ dA`` walk bit for bit while ``p`` stays finite.
+    An ``(L + 1, S)`` table then holds ``initial`` and, per state, the
+    value of its last write at or before each of the L rows (a running
+    maximum over write positions), and each grid row takes the table row
+    of its rank among them. Beyond the result, the pass allocates arrays
+    of L rows and one int per grid row, no ``(m, S, S)`` array. The
+    values equal those of a step-by-step ``p + p @ dA`` walk bit for bit
+    while the hazard and ``p`` stay finite.
+
+    Raises
+    ------
+    ValueError
+        If ``initial`` does not hold one value per state.
     """
     initial = np.asarray(initial, dtype=float)
+    size = len(hazard.states)
+    if initial.shape != (size,):
+        raise ValueError(
+            f"initial must have length {size}, one value per state, got shape {initial.shape}"
+        )
     grid = hazard.hazard.times
-    inc = hazard.hazard.increments()
-    m, size = len(inc), initial.size
+    m, cells = len(grid), size * size
+    rows = hazard.rows
+    cumulative = hazard.hazard.values.reshape(m, cells)
+    inc = np.take(cumulative, rows, axis=0)
+    before = np.take(cumulative, rows - 1, axis=0)  # row -1 reads the last row: replaced
+    if rows.size and rows[0] == 0:
+        before[0] = hazard.hazard.initial.reshape(cells)
+    inc -= before
+    del before
+
+    # every nonzero entry as (step, k): k = source * S + the column's place in
+    # row j's walk from column j + 1 round to j
     axis = np.arange(size)
-    cycle = (axis[:, None] + 1 + axis) % size  # row i's columns from i + 1 round to i
-    nonzero = (inc != 0.0)[:, axis[:, None], cycle]
-    moving = _slice_sum(nonzero, 2) > 0.0  # far faster than any(axis=2)
-    n_sources = _slice_sum(moving, 1)
-    live = n_sources > 0.0
-    full = (n_sources > 1.0) | (live & (np.cumsum(live) == 1))
-    nonzero[full] = False
-    step, src, k = np.nonzero(nonzero)
-    col = cycle[src, k]
-    full_steps = np.flatnonzero(full)
-    rate = inc[step, src, col]
-    full_inc = inc[full]
-    # freed before the loop's lists exist, so a fit peaks in nelson_aalen as before
-    del inc, nonzero, k
+    cycle = (axis[:, None] * size + (axis[:, None] + 1 + axis) % size).ravel()
+    flat = np.flatnonzero((inc != 0.0)[:, cycle])
+    step = flat // cells
+    k = flat - step * cells
+    src = k // size
+    # a step with a second source (a tie) and the first live step run in numpy
+    tie = (step[1:] == step[:-1]) & (src[1:] != src[:-1])
+    full_steps = np.unique(np.concatenate([step[:1], step[1:][tie]]))
+    full = np.zeros(rows.size, dtype=bool)
+    full[full_steps] = True
+    keep = ~full[step]
+    step, src, cell = step[keep], src[keep], cycle[k[keep]]
+    col = cell - src * size
+    rate = np.take(inc, step * cells + cell)
+    full_inc = inc[full_steps].reshape(-1, size, size)
+    del inc, flat, k, keep, cell  # the loop's lists take their place
     at = np.searchsorted(step, full_steps)
 
-    p = initial.tolist()
-    out = []
     # a full step is one loop entry: source -1, then its index among the full steps
-    for j, c, s in zip(
+    entries = zip(
         np.insert(src, at, -1).tolist(),
         np.insert(col, at, np.arange(full_steps.size)).tolist(),
         np.insert(rate, at, 0.0).tolist(),
-    ):
+    )
+    del src, rate
+    p = initial.tolist()
+    out = []
+    for j, c, s in entries:
         if j >= 0:
             p[c] = v = p[c] + p[j] * s
             out.append(v)
@@ -366,16 +418,23 @@ def aalen_johansen(hazard: HazardEstimate, initial) -> OccupationEstimate:
             vec = np.array(p)
             p = (vec + vec @ full_inc[c]).tolist()
             out += p
+    del entries  # and its lists
 
-    # out[w] was written at (step, column); a full step writes every column
-    at = np.repeat(at, size)
-    pos = np.tile(axis, (m, 1))
-    pos[
-        np.insert(step, at, np.repeat(full_steps, size)),
-        np.insert(col, at, np.tile(axis, full_steps.size)),
-    ] = size + np.arange(len(out))
     table = np.concatenate([initial, np.fromiter(out, float, len(out))])
-    values = table[np.maximum.accumulate(pos, axis=0, out=pos)]
+    del out
+    # table[size + w] was written at (step, column); a full step writes every column
+    at = np.repeat(at, size)
+    pos = np.zeros((rows.size + 1, size), dtype=np.intp)
+    pos[0] = axis
+    pos[
+        1 + np.insert(step, at, np.repeat(full_steps, size)),
+        np.insert(col, at, np.tile(axis, full_steps.size)),
+    ] = np.arange(size, table.size)
+    del step, col
+    table = table[np.maximum.accumulate(pos, axis=0, out=pos)]
+    rank = np.zeros(m, dtype=np.intp)  # each grid row's table row: the rows up to it
+    rank[rows] = 1
+    values = np.take(table, np.cumsum(rank, out=rank), axis=0)
     return OccupationEstimate(grid, values, initial, hazard.states)
 
 

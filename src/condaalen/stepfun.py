@@ -12,7 +12,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+class _Checked:
+    """Times that ``_as_times`` has passed, handed back by it without a second pass.
+
+    Several curves built on one grid check it once: ``StepCurve(grid, ...)``
+    with ``grid = _Checked(times)`` stores ``grid.times`` unchecked.
+    """
+
+    def __init__(self, times):
+        self.times = _as_times(times)
+
+
 def _as_times(times) -> np.ndarray:
+    if isinstance(times, _Checked):
+        return times.times
     t = np.asarray(times, dtype=float)
     if t.ndim != 1:
         raise ValueError("times must be one-dimensional")

@@ -248,6 +248,109 @@ def test_aalen_johansen_empty_grid():
     assert occ.values.shape == (0, 3)
 
 
+# --- aalen_johansen on the recorded rows against the derived ones ---------
+
+
+def _assert_occupation_bits(hazard, initial, occupation=None):
+    """The recorded rows, the rows derived from the increments and the walk agree."""
+    want = _stepwise_occupation(hazard, initial)
+    derived = replace(hazard, rows=None)
+    assert set(derived.rows.tolist()) <= set(hazard.rows.tolist())
+    assert _same_bits(aalen_johansen(hazard, initial).values, want)
+    assert _same_bits(aalen_johansen(derived, initial).values, want)
+    if occupation is not None:
+        assert _same_bits(occupation.values, want)
+
+
+@given(fits())
+@settings(max_examples=100, deadline=None)
+def test_fit_occupation_matches_derived_rows_and_stepwise_recursion(case):
+    sample, spec, x, bandwidth, epsilon = case
+    r = fit(sample, x, spec, explicit_bandwidth=bandwidth, epsilon=epsilon)
+    _assert_occupation_bits(r.hazard, r.hazard.initial_exposure(), r.occupation)
+
+
+def test_fit_occupation_matches_derived_rows_on_the_sweep_sample(sweep):
+    sample = sweep.sample(20000, 5)
+    m = len(sample.table.grid)
+    for x in sweep.points:
+        r = fit(sample, x, sweep.spec)
+        assert r.hazard.rows.size < 0.5 * m  # the atom leaves most rows still
+        _assert_occupation_bits(r.hazard, r.hazard.initial_exposure(), r.occupation)
+
+
+def _na(paths, weights):
+    """``nelson_aalen`` under hand-set weights; ``fit`` hands its result on the same way."""
+    sample = Sample(tuple(paths), SPACE)
+    assert validate(sample) == []
+    return nelson_aalen(sample, WeightVector(weights, 1.0), 1e-4)
+
+
+def test_occupation_bits_with_a_censoring_only_row():
+    # grid 0.5, 1.0, 1.5, 2.0: nobody jumps at 1.0 or 2.0, subjects are censored there
+    hazard = _na(
+        [
+            ObservedPath((0.5,), 1, ((0.5, 2),), 2.0, CENSORED),
+            ObservedPath((0.5,), 1, (), 1.0, CENSORED),
+            ObservedPath((0.5,), 2, ((1.5, 3),), 1.5, ABSORBED),
+        ],
+        [0.3, 0.5, 0.2],
+    )
+    assert hazard.rows.tolist() == [0, 2]
+    assert hazard.exposure[1].values[1] != hazard.exposure[1].values[0]
+    _assert_occupation_bits(hazard, hazard.initial_exposure())
+
+
+def test_occupation_bits_when_grid_row_0_moves_with_negative_zero_diagonals():
+    hazard = _na(
+        [
+            ObservedPath((0.5,), 1, ((0.25, 3),), 0.25, ABSORBED),
+            ObservedPath((0.5,), 1, ((0.75, 2),), 1.0, CENSORED),
+            ObservedPath((0.5,), 2, (), 0.5, CENSORED),
+        ],
+        [0.5, 0.3, 0.2],
+    )
+    assert hazard.rows[0] == 0
+    # only state 1 leaves at row 0: the diagonals of states 2 and 3 are -0.0
+    diag = hazard.hazard.values[0].diagonal()
+    assert _same_bits(diag[1:], [-0.0, -0.0]) and diag[0] < 0.0
+    for initial in (hazard.initial_exposure(), np.array([0.6, -0.0, 0.4])):
+        _assert_occupation_bits(hazard, initial)
+
+
+def test_occupation_bits_with_a_tie_across_source_states():
+    hazard = _na(
+        [
+            ObservedPath((0.5,), 1, ((0.5, 2),), 1.0, CENSORED),
+            ObservedPath((0.5,), 2, ((0.5, 3),), 0.5, ABSORBED),
+            ObservedPath((0.5,), 1, ((0.25, 2), (0.75, 3)), 0.75, ABSORBED),
+            ObservedPath((0.5,), 2, (), 1.25, CENSORED),
+        ],
+        [0.4, 0.3, 0.2, 0.1],
+    )
+    inc = hazard.hazard.increments()
+    row = int(np.searchsorted(hazard.times, 0.5))
+    assert np.count_nonzero(inc[row].any(axis=1)) == 2  # two source states at one time
+    _assert_occupation_bits(hazard, hazard.initial_exposure())
+
+
+def test_occupation_bits_when_the_diagonal_increment_rounds_to_zero():
+    # at t = 0.5 a weight of 1e-20 leaves state 1 for 2: dA_12 > 0, but the
+    # diagonal's cumulative value -0.5 does not move
+    hazard = _na(
+        [
+            ObservedPath((0.5,), 1, ((0.25, 3),), 0.25, ABSORBED),
+            ObservedPath((0.5,), 1, (), 2.0, CENSORED),
+            ObservedPath((0.5,), 1, ((0.5, 2),), 1.0, CENSORED),
+        ],
+        [0.5, 0.5, 1e-20],
+    )
+    inc = hazard.hazard.increments()
+    assert inc[1, 0, 0] == 0.0 < inc[1, 0, 1]
+    assert hazard.rows.tolist() == [0, 1]
+    _assert_occupation_bits(hazard, hazard.initial_exposure())
+
+
 # --- nelson_aalen against the step-by-step helper chain --------------------
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from condaalen import stepfun
 from condaalen.data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace
 from condaalen.estimators import (
     HazardEstimate,
@@ -162,6 +163,49 @@ def test_nelson_aalen_peak_memory(sweep):
         finally:
             tracemalloc.stop()
         assert peak <= bound, (x, peak / (m * size * size * 8))
+
+
+def test_aalen_johansen_peak_memory(sweep):
+    # the pass over every grid row built (m, S, S) arrays and peaked at 1.83 of
+    # them at this point; reading only the rows where the hazard moves, 1.24
+    sample = sweep.sample(20000, 5)
+    m, size = len(sample.table.grid), len(sample.state_space.states)
+    hazard = fit(sample, sweep.points[12], sweep.spec).hazard
+    initial = hazard.initial_exposure()
+    tracemalloc.start()
+    try:
+        aalen_johansen(hazard, initial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * m * size * size * 8, peak / (m * size * size * 8)
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_aalen_johansen_rejects_initial_of_wrong_length(sim_sample, length):
+    hazard = fit(sim_sample, (0.5,)).hazard
+    assert len(hazard.states) == 3
+    with pytest.raises(ValueError, match=rf"length 3.*shape \({length},\)"):
+        aalen_johansen(hazard, np.full(length, 1.0 / length))
+
+
+def test_nelson_aalen_checks_its_grid_once(sim_sample, monkeypatch):
+    checked = []
+    as_times = stepfun._as_times
+
+    def counting(times):
+        if not isinstance(times, stepfun._Checked):
+            checked.append(len(times))
+        return as_times(times)
+
+    monkeypatch.setattr(stepfun, "_as_times", counting)
+    weights = fit(sim_sample, (0.5,)).weights
+    checked.clear()
+    hazard = nelson_aalen(sim_sample, weights, 1e-4)
+    assert checked == [len(hazard.times)]
+    # a grid a caller passes is still checked
+    with pytest.raises(ValueError, match="strictly increasing"):
+        StepMatrix([1.0, 1.0], np.zeros((2, 3, 3)))
 
 
 def test_hazard_rejects_bad_epsilon():
