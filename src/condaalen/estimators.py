@@ -76,7 +76,8 @@ class HazardEstimate:
         increment is zero at every other row, and ``aalen_johansen``
         reads only these. ``nelson_aalen`` gives the rows where a subject
         of nonzero weight jumps; left out, it is derived from the rows
-        with a nonzero increment.
+        with a nonzero increment. ``dataclasses.replace`` keeps it, so a
+        copy with another ``hazard`` passes ``rows=None``.
     """
 
     hazard: StepMatrix
