@@ -10,10 +10,12 @@ exactly; runs with the same configuration and seed are byte-identical.
 The writers work from the result arrays. Step curves repeat their
 values, so each distinct float (by bit pattern) is formatted once, and
 lines are built from precomputed label strings. Files are written in
-blocks of ``_BLOCK_ROWS`` grid rows, which keeps memory flat in the grid
-size. JSON output is ``json.dump(indent=1, sort_keys=True)`` text: the
-``json`` module renders everything but the arrays, whose text is
-spliced in.
+blocks of about ``_BLOCK_VALUES`` values, which keeps memory flat in the
+grid size: a CSV block is as many grid rows as hold that many values,
+and its lines' pieces are joined into one string; a JSON block is that
+many array items. JSON output is ``json.dump(indent=1, sort_keys=True)``
+text: the ``json`` module renders everything but the arrays, whose text
+is spliced in.
 
 Exit codes: 0 on success, 2 when an evaluation point carries no kernel
 mass, 1 on any other failure, usage errors included. Numeric options are
@@ -42,8 +44,9 @@ _EXIT_OK = 0
 _EXIT_ERROR = 1
 _EXIT_NO_MASS = 2
 
-# grid rows (or JSON array items) formatted and written at a time
-_BLOCK_ROWS = 256
+# values formatted and written at a time: a CSV block is this many over
+# its column count grid rows, a JSON block this many array items
+_BLOCK_VALUES = 4096
 # stands in for each array while ``json`` renders the rest of a document
 _SLOT = "\0"
 
@@ -157,14 +160,19 @@ def _write_rows(handle, times, labels, values, keep=None) -> None:
     them needs quoting.
     """
     labels = np.array(labels, dtype=object)
-    for lo in range(0, len(times), _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        lines = times[rows, None] + labels + _format_distinct(values[rows])
+    step = max(1, _BLOCK_VALUES // labels.size)
+    for lo in range(0, len(times), step):
+        rows = slice(lo, lo + step)
+        block = values[rows]
+        # each line's four pieces, joined with the rest of the block at once
+        cells = np.empty((*block.shape, 4), dtype=object)
+        cells[..., 0] = times[rows, None]
+        cells[..., 1] = labels
+        cells[..., 2] = _format_distinct(block)
+        cells[..., 3] = "\r\n"
         if keep is not None:
-            lines = lines[keep[rows]]
-        text = "\r\n".join(lines.ravel().tolist())
-        if text:
-            handle.write(text + "\r\n")
+            cells = cells[keep[rows]]
+        handle.write("".join(cells.ravel().tolist()))
 
 
 def _write_hazard_csv(result: FitResult, path: str, grid: np.ndarray) -> None:
@@ -218,8 +226,8 @@ def _write_json_array(handle, values: np.ndarray, indent: int) -> None:
         return
     sep = ",\n" + " " * (indent + 1)
     lead = "[" + sep[1:]  # no comma before the first item
-    for lo in range(0, values.size, _BLOCK_ROWS):
-        items = values[lo : lo + _BLOCK_ROWS]
+    for lo in range(0, values.size, _BLOCK_VALUES):
+        items = values[lo : lo + _BLOCK_VALUES]
         if items.dtype != object:
             items = _format_distinct(items, _json_float)
         items = items.tolist()

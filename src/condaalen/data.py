@@ -8,8 +8,10 @@ strictly increasing jump times.
 A sample has two forms: its paths, and its columns (flat arrays per
 subject and per recorded jump), from which its :class:`EventTable` is
 built. A sample built from paths flattens them on first use of its
-table or by :func:`write_sample`; a sample read by :func:`load_sample`
-is parsed straight into columns and builds its paths only when asked.
+table or by :func:`write_sample`. A sample read by :func:`load_sample`
+is parsed straight into columns and builds its table at once, and one
+drawn by ``simulate_sample`` is made from the columns of its draws and
+builds its table on first use; both build their paths only when asked.
 """
 
 from __future__ import annotations
@@ -105,9 +107,10 @@ class ObservedPath:
 class Sample:
     """A collection of observed paths over a common state space.
 
-    ``Sample(paths, state_space)`` only stores the paths. A sample read by
-    :func:`load_sample` holds its columns and table instead, and builds
-    ``paths`` (a tuple of :class:`ObservedPath`) on first access.
+    ``Sample(paths, state_space)`` only stores the paths. A sample made
+    from columns, as :func:`load_sample` and ``simulate_sample`` make
+    theirs, holds its columns instead and builds ``paths`` (a tuple of
+    :class:`ObservedPath`) on first access.
     """
 
     def __init__(self, paths, state_space: StateSpace):
@@ -122,7 +125,6 @@ class Sample:
         sample.state_space = state_space
         sample._size, sample.covariate_dim = columns.covariates.shape
         sample._columns = columns
-        sample.table = EventTable.build(columns)
         return sample
 
     def __len__(self) -> int:
@@ -162,30 +164,41 @@ class _Columns:
     state: np.ndarray
 
     @classmethod
-    def from_paths(cls, paths, states, dim: int) -> _Columns:
+    def of(cls, subjects, jumps, states, dim: int) -> _Columns:
+        """Columns of ``subjects`` and ``jumps``, lists as the sampler makes them.
+
+        A subject is ``(covariates, initial label, jump count, end time,
+        censored)``; ``jumps`` holds their ``(time, label)`` pairs in turn.
+        """
         index = {s: i for i, s in enumerate(states)}
-        jumps = [jump for p in paths for jump in p.jumps]
+        covariates, init, count, end_time, censored = zip(*subjects) if subjects else [()] * 5
         times, labels = zip(*jumps) if jumps else ((), ())
+        return cls(
+            covariates=np.array(covariates, float).reshape(len(init), dim),
+            init=np.fromiter(map(index.__getitem__, init), np.intp, len(init)),
+            end_time=np.array(end_time, dtype=float),
+            censored=np.array(censored, dtype=bool),
+            subj=np.repeat(np.arange(len(count)), count),
+            time=np.array(times, dtype=float),
+            state=np.fromiter(map(index.__getitem__, labels), np.intp, len(labels)),
+        )
+
+    @classmethod
+    def from_paths(cls, paths, states, dim: int) -> _Columns:
+        subjects = [
+            (p.covariates, p.initial_state, len(p.jumps), p.end_time, p.end_reason == CENSORED)
+            for p in paths
+        ]
         try:
-            init = np.array([index[p.initial_state] for p in paths], dtype=np.intp)
-            state = np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+            return cls.of(subjects, [jump for p in paths for jump in p.jumps], states, dim)
         except KeyError:
             subject, label = next(
                 (subject, label)
                 for subject, p in enumerate(paths)
                 for label in (p.initial_state, *(s for _, s in p.jumps))
-                if label not in index
+                if label not in states
             )
             raise ValueError(f"subject {subject}: unknown state label {label}") from None
-        return cls(
-            covariates=np.array([p.covariates for p in paths], float).reshape(len(paths), dim),
-            init=init,
-            end_time=np.array([p.end_time for p in paths], dtype=float),
-            censored=np.array([p.end_reason == CENSORED for p in paths], dtype=bool),
-            subj=np.repeat(np.arange(len(paths)), [len(p.jumps) for p in paths]),
-            time=np.array(times, dtype=float),
-            state=state,
-        )
 
     def paths(self, states) -> tuple[ObservedPath, ...]:
         labels = np.array(states, dtype=object)
@@ -514,7 +527,9 @@ class _Rows:
             state=state[jumps],
         )
         space = StateSpace(tuple(labels), frozenset(labels[i] for i in np.flatnonzero(absorbing)))
-        return Sample._from_columns(columns, space)
+        sample = Sample._from_columns(columns, space)
+        sample.table  # noqa: B018 -- a loaded sample holds its table from the start
+        return sample
 
     def _sorted(self):
         """The rows that pass the row rules, blank rows dropped, grouped and in time order.

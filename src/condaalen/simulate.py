@@ -26,7 +26,10 @@ constructed per subject; :func:`simulate_path` seeds its one subject the
 same way. The tests check the states against ``default_rng`` itself, so
 a change to numpy's seeding fails there. A jump target is drawn as
 ``Generator.choice(targets, p=p)`` draws it, bit for bit, with no array
-built per jump (:func:`_choose`).
+built per jump (:func:`_choose`), and a ``uniform`` law's value as
+``Generator.uniform`` draws it (:func:`_uniform`). Both samplers run one
+per-subject routine; :func:`simulate_sample` appends its output to flat
+lists and builds no path object.
 
 Scenario files are JSON; rate expressions use a restricted arithmetic
 grammar over ``t``, ``duration``, and the covariates ``x1 .. xd`` (``x``
@@ -48,7 +51,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.integrate import solve_ivp
 
-from .data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace
+from .data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace, _Columns
 from .estimators import HazardEstimate, OccupationEstimate
 from .kernels import KernelSpec, NoKernelMass, kernel_eval
 from .stepfun import StepCurve, StepMatrix
@@ -418,23 +421,17 @@ def _load(bit_generator, row) -> None:
     }
 
 
-def _simulate_subject(intensity: IntensitySpec, censoring, rng_jump, rng_cens) -> ObservedPath:
-    """One subject from its jump and censoring streams."""
-    x = tuple(float(v) for v in np.atleast_1d(intensity.covariate_law(rng_jump)))
+def _simulate_subject(intensity: IntensitySpec, censoring, rng_jump, rng_cens):
+    """One subject from its two streams: its tuple and its jumps, as ``_Columns.of`` takes them."""
+    x = intensity.covariate_law(rng_jump)
+    if type(x) is not tuple or not all(type(v) is float for v in x):
+        x = tuple(float(v) for v in np.atleast_1d(x))
     censor_time = float(censoring(rng_cens, x))
-    if not censor_time > 0:
-        raise ValueError(f"censoring law produced non-positive time {censor_time}")
-    if intensity.time_constant:
-        jumps, absorbed, end = _simulate_jumps_constant(intensity, x, censor_time, rng_jump)
-    else:
-        jumps, absorbed, end = _simulate_jumps_thinning(intensity, x, censor_time, rng_jump)
-    return ObservedPath(
-        covariates=x,
-        initial_state=intensity.initial_state,
-        jumps=tuple(jumps),
-        end_time=end,
-        end_reason=ABSORBED if absorbed else CENSORED,
-    )
+    if not 0 < censor_time < math.inf:
+        raise ValueError(f"censoring law produced non-positive or non-finite time {censor_time}")
+    sampler = _simulate_jumps_constant if intensity.time_constant else _simulate_jumps_thinning
+    jumps, absorbed, end = sampler(intensity, x, censor_time, rng_jump)
+    return (x, intensity.initial_state, len(jumps), end, not absorbed), jumps
 
 
 def simulate_path(intensity: IntensitySpec, censoring, seed, index: int) -> ObservedPath:
@@ -449,7 +446,8 @@ def simulate_path(intensity: IntensitySpec, censoring, seed, index: int) -> Obse
         bit_generator = np.random.PCG64(0)
         _load(bit_generator, row)
         rngs.append(np.random.Generator(bit_generator))
-    return _simulate_subject(intensity, censoring, *rngs)
+    (x, initial, _, end, censored), jumps = _simulate_subject(intensity, censoring, *rngs)
+    return ObservedPath(x, initial, tuple(jumps), end, CENSORED if censored else ABSORBED)
 
 
 def simulate_sample(
@@ -459,14 +457,16 @@ def simulate_sample(
 
     Subject ``i`` is ``simulate_path(intensity, censoring, seed, i)``. The
     streams of a chunk of subjects are seeded in one pass and loaded, one
-    subject at a time, into two reused generators.
+    subject at a time, into two reused generators. Each subject's fields
+    go into flat lists, and the sample is made from their columns: it
+    builds its ``paths`` and its table only when they are first read.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     key = _words(seed)
     jump, cens = np.random.PCG64(0), np.random.PCG64(0)
     rng_jump, rng_cens = np.random.Generator(jump), np.random.Generator(cens)
-    paths = []
+    subjects, jumps = [], []
     for lo in range(0, n, _CHUNK):
         # rows key + [index, k]: an index below n fits one 32-bit word
         index = np.arange(lo, min(n, lo + _CHUNK), dtype=np.uint32)
@@ -478,8 +478,12 @@ def simulate_sample(
         for row_jump, row_cens in zip(states[::2], states[1::2]):
             _load(jump, row_jump)
             _load(cens, row_cens)
-            paths.append(_simulate_subject(intensity, censoring, rng_jump, rng_cens))
-    return Sample(tuple(paths), intensity.state_space)
+            subject, path = _simulate_subject(intensity, censoring, rng_jump, rng_cens)
+            subjects.append(subject)
+            jumps += path
+    space = intensity.state_space
+    columns = _Columns.of(subjects, jumps, space.states, len(subjects[0][0]))
+    return Sample._from_columns(columns, space)
 
 
 def markov_occupation_oracle(intensity: IntensitySpec, x, grid) -> np.ndarray:
@@ -678,7 +682,11 @@ def _covariate_draw(law: dict):
     kind = law["law"]
     if kind == "uniform":
         low, high = _number(law, "low"), _number(law, "high")
-        return lambda rng: rng.uniform(low, high)
+        if not 0 <= high - low < math.inf:
+            raise ValueError(
+                f"uniform covariate law needs low <= high and a finite high - low: {low}, {high}"
+            )
+        return _uniform(low, high)
     if kind == "normal":
         mean, sd = _number(law, "mean"), _number(law, "sd")
         return lambda rng: rng.normal(mean, sd)
@@ -686,6 +694,17 @@ def _covariate_draw(law: dict):
         values, cdf = _discrete_law(law["values"], law["probs"])
         return lambda rng: values[_choose(cdf, rng)]
     raise ValueError(f"unknown covariate law {kind!r}")
+
+
+def _uniform(low: float, high: float):
+    """``Generator.uniform(low, high)`` bit for bit, at a third of its cost.
+
+    numpy draws ``low + (high - low) * random()`` and raises where ``high -
+    low`` is negative or not finite, which the scenario loader refuses. A
+    censoring law's draw is also passed ``x``, which this one ignores.
+    """
+    span = high - low
+    return lambda rng, *_: low + span * rng.random()
 
 
 def _discrete_law(values, probs) -> tuple[list[float], list[float]]:
@@ -738,16 +757,14 @@ def _censoring_sampler(law: dict, dim: int):
 
     elif kind == "uniform":
         low, high = _number(law, "low"), _number(law, "high")
-        if not 0 <= low < high:
-            raise ValueError("uniform censoring needs 0 <= low < high")
-
-        def draw(rng, x):
-            return rng.uniform(low, high)
+        if not 0 <= low < high < math.inf:
+            raise ValueError(f"uniform censoring needs 0 <= low < high < inf, got {low}, {high}")
+        draw = _uniform(low, high)
 
     elif kind == "fixed":
         value = _number(law, "value")
-        if not value > 0:
-            raise ValueError("fixed censoring time must be positive")
+        if not 0 < value < math.inf:
+            raise ValueError(f"fixed censoring time must be positive and finite, got {value}")
 
         def draw(rng, x):
             return value

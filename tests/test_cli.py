@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -128,6 +129,12 @@ def _explosive(raw):
     raw["censoring"] = {"law": "fixed", "value": 1.0}
 
 
+def _never_absorbed(raw):
+    # no way out of state 2, and a censoring time whose mean 1 / 1e-320 overflows
+    raw.update(states=[1, 2], absorbing=[], rates={"1->2": "0.8"})
+    raw["censoring"]["rate"] = "1e-320"
+
+
 def _spiking(raw):
     # peaks at 11 near t = 0.1, between the probes the thinning majorant is built on
     raw["rates"]["1->2"] = "1 + 1000*max(0, 0.01 - abs(t - 0.1))"
@@ -139,8 +146,9 @@ def _spiking(raw):
     [
         (_explosive, "error: path exceeded 100000 jumps; rates look explosive"),
         (_spiking, "error: majorant violated at t=0.1"),
+        (_never_absorbed, "error: censoring law produced non-positive or non-finite time inf"),
     ],
-    ids=["explosive", "majorant"],
+    ids=["explosive", "majorant", "infinite-censoring"],
 )
 def test_simulate_sampler_failures_exit_1(tmp_path, capsys, deadline, mutate, needle):
     raw = default_scenario_json(n=1, seed=1)
@@ -201,9 +209,37 @@ def test_simulate_rejects_wrong_collection_fields(tmp_path, capsys, field, value
             lambda raw: raw.update(covariates=[], rates={"1->2": "0.8", "2->3": "0.6"}),
             "scenario field 'covariates' needs at least one law",
         ),
+        # numpy would raise OverflowError or refuse low > high at the first draw
+        (
+            lambda raw: raw["covariates"][0].update(low=-1e308, high=1e308),
+            "uniform covariate law needs low <= high and a finite high - low: -1e+308, 1e+308",
+        ),
+        (
+            lambda raw: raw["covariates"][0].update(high=math.inf),
+            "uniform covariate law needs low <= high",
+        ),
+        (
+            lambda raw: raw["covariates"][0].update(low=math.nan),
+            "uniform covariate law needs low <= high",
+        ),
+        (
+            lambda raw: raw["covariates"][0].update(low=2.0),
+            "uniform covariate law needs low <= high",
+        ),
+        (
+            lambda raw: raw.update(censoring={"law": "uniform", "low": 1.0, "high": math.inf}),
+            "uniform censoring needs 0 <= low < high < inf, got 1.0, inf",
+        ),
+        # a subject that is never absorbed would end at t = inf
+        (
+            lambda raw: raw.update(censoring={"law": "fixed", "value": math.inf}),
+            "fixed censoring time must be positive and finite, got inf",
+        ),
     ],
-    ids=["unknown-initial-state", "rate-out-of-absorbing", "no-covariates"],
-)
+    ids=["unknown-initial-state", "rate-out-of-absorbing", "no-covariates",
+         "uniform-range-overflows", "uniform-infinite-high", "uniform-nan-low",
+         "uniform-low-above-high", "uniform-censoring-infinite-high", "fixed-censoring-infinite"],
+)  # fmt: skip
 def test_simulate_rejects_scenario_it_would_misrepresent(tmp_path, capsys, mutate, needle):
     raw = default_scenario_json(n=5, seed=1)
     mutate(raw)

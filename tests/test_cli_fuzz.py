@@ -5,10 +5,13 @@ mass), raises nothing and emits no warning. Exit 1 prints exactly one
 ``error:`` line; exit 2 names the evaluation point that had no mass.
 Inputs are mutants of a small default-scenario sample CSV, run through
 ``fit`` and ``covariance`` with drawn flag values, and mutants of the
-default scenario file, run through ``simulate``: wrong-typed fields and
-law parameters, a spiking thinning rate, whole documents that are not a
-scenario object, and rates nested too deeply to compile. The examples
-are fixed: a set seed, derandomised, no example database.
+default scenario file, run through ``simulate``: wrong-typed, infinite,
+NaN and extreme fields and law parameters, censoring laws that can reach
+a subject stuck in a state with no way out, a spiking thinning rate,
+whole documents that are not a scenario object, and rates nested too
+deeply to compile. A ``simulate`` run that exits 0 must write a sample
+that ``load_sample`` reads back. The examples are fixed: a set seed,
+derandomised, no example database.
 """
 
 import contextlib
@@ -24,7 +27,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from condaalen.cli import main
-from condaalen.data import write_sample
+from condaalen.data import load_sample, write_sample
 from condaalen.simulate import default_scenario, default_scenario_json, simulate_sample
 
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -39,7 +42,18 @@ X_VALUES = ("0.5", "0.5", "0.1", "0.9", "0.05", "1e308", "-1e308", "0.5,0.5", "n
 ATOMS = (None, None, None, "1:0.5", "1:0.5,0.1", "2:0.5", "x:1")
 BANDWIDTHS = (None, None, "0.3", "0.05", "1e-300", "1e300", "-1")
 GRIDS = ("1", "3", "3", "0")
-JSON_VALUES = (None, "x", 1, 2.5, True, [], [1], {}, {"a": 1})
+JSON_VALUES = (
+    None, "x", 1, 2.5, True, [], [1], {}, {"a": 1},
+    float("inf"), float("nan"), 1e308, -1e308,
+)  # fmt: skip
+# censoring laws, each with its last parameter replaced by a mutant; 1e-320
+# as an exponential rate makes the mean 1 / rate overflow
+CENSORING = (
+    {"law": "fixed", "value": 2.0},
+    {"law": "exponential", "rate": "0.3"},
+    {"law": "uniform", "low": 0.0, "high": 2.0},
+)
+CENSORING_VALUES = JSON_VALUES + ("1e-320",)
 # whole scenario files; json.dumps cannot write the 100,000-deep list
 DOCUMENTS = tuple(json.dumps(v) for v in JSON_VALUES) + ("[" * 100_000 + "]" * 100_000,)
 # rates that the parser, the rewrite or the compiler cannot take
@@ -100,7 +114,7 @@ def fit_argvs(draw) -> list[str]:
 @st.composite
 def scenario_mutants(draw) -> str:
     raw = default_scenario_json(n=5, seed=1)
-    kind = draw(st.sampled_from(("field", "law", "spike", "document", "expression")))
+    kind = draw(st.sampled_from(("field", "law", "spike", "document", "expression", "censoring")))
     if kind == "document":
         return draw(st.sampled_from(DOCUMENTS))
     if kind == "field":
@@ -115,6 +129,12 @@ def scenario_mutants(draw) -> str:
         law[key] = draw(st.sampled_from(JSON_VALUES))
     elif kind == "expression":
         raw["rates"]["1->2"] = draw(st.sampled_from(DEEP_RATES))
+    elif kind == "censoring":
+        # state 2 has no way out, so a subject in it ends at its censoring time
+        del raw["rates"]["2->3"]
+        law = dict(draw(st.sampled_from(CENSORING)))
+        law[list(law)[-1]] = draw(st.sampled_from(CENSORING_VALUES))
+        raw["censoring"] = law
     else:
         raw["rates"]["1->2"] = SPIKE
         raw["n"] = 200
@@ -168,3 +188,6 @@ def test_simulate_keeps_the_exit_code_contract(text):
         assert code in (0, 1)
         _check_error_lines(code, stderr)
         assert out.exists() == (code == 0)
+        if code == 0:
+            # what simulate writes, fit can read
+            load_sample(out)

@@ -693,7 +693,7 @@ SPECIAL = np.array(
     [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 0.1, 1.0 / 3.0, 1.0, 2.0,
      123456789.0, -1e-5, np.nan, np.inf, -np.inf]
 )
-BLOCK = cli._BLOCK_ROWS
+BLOCK = cli._BLOCK_VALUES
 
 
 def _hand_built_fit(m, seed=0):
@@ -734,14 +734,41 @@ def _hand_built_fit(m, seed=0):
     return replace(fit(two, (0.5,)), hazard=hazard, occupation=occupation, theta=theta)
 
 
+def _rows_per_block(columns):
+    return cli._BLOCK_VALUES // columns
+
+
 @pytest.mark.parametrize(
     "m",
-    [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7],
-    ids=["empty", "one", "two", "block-1", "block", "block+1", "blocks"],
-)
+    [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7,
+     _rows_per_block(15), _rows_per_block(15) + 1, _rows_per_block(3) - 1, _rows_per_block(3)],
+    ids=["empty", "one", "two", "block-1", "block", "block+1", "blocks",
+         "hazard-block", "hazard-block+1", "occupation-block", "occupation-block+1"],
+)  # fmt: skip
 def test_fit_writers_match_literal_loops_on_hand_built_arrays(m):
-    # the occupation CSV has m + 1 rows, so block-1 fills exactly one block there
+    # a JSON array holds m items and a block BLOCK of them; the hazard CSV
+    # has 15 columns (6 hazards, 6 counts, 3 exposures) over m rows, the
+    # occupation CSV 3 columns over m + 1 rows
     _assert_writers_match_literal(_hand_built_fit(m), 1)
+
+
+@pytest.mark.parametrize("columns", [3, 15, 50])
+def test_write_rows_matches_csv_writer_at_block_edges(columns, tmp_path):
+    rows = _rows_per_block(columns)
+    rng = np.random.default_rng(columns)
+    for m in (rows - 1, rows, rows + 1, 2 * rows + 1):
+        values = rng.choice(SPECIAL, size=(m, columns))
+        keep = rng.random((m, columns)) < 0.8
+        times = 5e-324 + np.arange(m) / 7.0
+        path, literal = tmp_path / f"fast_{m}.csv", tmp_path / f"literal_{m}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            labels = [f",q{c}," for c in range(columns)]
+            cli._write_rows(handle, cli._format_distinct(times), labels, values, keep)
+        with open(literal, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            for i, c in zip(*np.nonzero(keep)):
+                writer.writerow([_fmt(times[i]), f"q{c}", _fmt(values[i, c])])
+        assert path.read_bytes() == literal.read_bytes(), m
 
 
 def test_json_writer_matches_json_dump_at_every_depth():

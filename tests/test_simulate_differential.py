@@ -14,6 +14,7 @@ or PCG64 seeding fails here loudly.
 """
 
 import ast
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condaalen import simulate
-from condaalen.data import ABSORBED, CENSORED, ObservedPath
+from condaalen.data import ABSORBED, CENSORED, ObservedPath, _Columns
 from condaalen.simulate import (
     _ALLOWED_FUNCS,
     MARKOV,
@@ -269,6 +270,76 @@ def test_sampler_matches_literal_sampler(name, monkeypatch):
             want = _literal_path(intensity, censoring, seed, index)
             assert path == want and _bits(path) == _bits(want), (seed, index)
     assert jumps > 50
+
+
+def _columnar_cases():
+    """Intensity and censoring of each case the columnar sampler must match."""
+    raws = _scenarios()
+    base = raws["default"]
+    raws["normal"] = {
+        **base,
+        "covariates": [
+            {"law": "normal", "mean": 0.5, "sd": 0.2},
+            {"law": "uniform", "low": -2.0, "high": 3.0},
+        ],
+        "rates": {
+            "1->2": "0.8*(1+abs(x1))",
+            "1->3": "0.4*(1+0.1*abs(x2))",
+            "2->3": "0.6*(1+abs(x1))",
+        },
+    }
+    cases = {}
+    for name in ("default", "thinning", "semi-markov", "discrete", "normal"):
+        sc = load_scenario(raws[name])
+        cases[name] = sc["intensity"], sc["censoring"]
+    intensity, censoring = cases["default"]
+    # a bare scalar, and a tuple of numpy floats, go through np.atleast_1d
+    bare = dataclasses.replace(intensity, covariate_law=lambda rng: 0.25 + rng.random())
+    numpy_floats = dataclasses.replace(
+        intensity, covariate_law=lambda rng: (np.float64(rng.random()),)
+    )
+    cases["bare-scalar"] = bare, censoring
+    cases["numpy-floats"] = numpy_floats, censoring
+    return cases
+
+
+COLUMNAR = _columnar_cases()
+
+
+@pytest.mark.parametrize("name", list(COLUMNAR))
+def test_columnar_sample_is_simulate_path_subject_by_subject(name):
+    intensity, censoring = COLUMNAR[name]
+    # 1025 subjects cross the 1024-subject seeding chunk
+    n, seed = 1025, 2**32 + 9
+    sample = simulate_sample(intensity, censoring, n, seed)
+    assert not {"paths", "table"} & set(vars(sample))
+    assert len(sample) == n
+    for index, path in enumerate(sample.paths):
+        want = simulate_path(intensity, censoring, seed, index)
+        assert path == want and _bits(path) == _bits(want), index
+        assert all(type(c) is float for c in path.covariates)
+    space = intensity.state_space
+    want = _Columns.from_paths(sample.paths, space.states, sample.covariate_dim)
+    for field in dataclasses.fields(_Columns):
+        got, expected = getattr(sample._columns, field.name), getattr(want, field.name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, field.name
+        assert got.tobytes() == expected.tobytes(), field.name
+    assert sum(len(p.jumps) for p in sample.paths) > n // 2
+
+
+@pytest.mark.parametrize(
+    "low,high",
+    [(-2.5, 4.0), (1.5, 1.5), (-1.0, math.nextafter(-1.0, 0.0)), (-5e-324, 5e-324),
+     (-8e307, 9e307), (0.0, 1.7976931348623157e308)],
+    ids=["negative-low", "low-equals-high", "range-below-one-ulp", "subnormal-range",
+         "range-near-1e308", "largest-range"],
+)  # fmt: skip
+def test_uniform_law_is_generator_uniform(low, high):
+    draw = simulate._uniform(low, high)
+    fast, numpy = np.random.default_rng(41), np.random.default_rng(41)
+    got = [draw(fast).hex() for _ in range(10_000)]
+    want = [numpy.uniform(low, high).hex() for _ in range(10_000)]
+    assert got == want
 
 
 def _generator(row) -> np.random.Generator:
