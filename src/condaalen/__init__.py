@@ -24,7 +24,6 @@ from .data import (
     StateSpace,
     ValidationError,
     load_sample,
-    validate,
     write_sample,
 )
 from .estimators import (
@@ -104,7 +103,6 @@ __all__ = [
     "product_integral",
     "simulate_path",
     "simulate_sample",
-    "validate",
     "write_sample",
     "__version__",
 ]

@@ -18,9 +18,9 @@ text: the ``json`` module renders everything but the arrays, whose text
 is spliced in.
 
 Exit codes: 0 on success, 2 when an evaluation point carries no kernel
-mass, 1 on any other failure, usage errors included. Numeric options are
-range-checked while the command line is parsed, before any file is read
-or written.
+mass, 1 on any other failure, usage errors and a lack of memory included.
+Numeric options are range-checked while the command line is parsed,
+before any file is read or written.
 """
 
 from __future__ import annotations
@@ -462,6 +462,10 @@ def main(argv=None) -> int:
         return _EXIT_NO_MASS
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return _EXIT_ERROR
+    except MemoryError:
+        grid = f" --grid {args.grid}" if args.command == "covariance" else ""
+        print(f"error: {args.command}{grid}: out of memory", file=sys.stderr)
         return _EXIT_ERROR
 
 

@@ -103,8 +103,7 @@ def _zeta_increments(sample, hazard: HazardEstimate, phi: float, subject: int) -
     d_subj = np.zeros((m, size, size))
     prev = path.initial_state
     for t, state in path.jumps:
-        if t <= path.end_time:
-            d_subj[int(np.searchsorted(grid, t)), index[prev], index[state]] += 1.0
+        d_subj[int(np.searchsorted(grid, t)), index[prev], index[state]] += 1.0
         prev = state
 
     d_counts = hazard.counts.increments()
@@ -257,8 +256,6 @@ def zeta_values(
     j, k = _pair_index(hazard.states, pair)
     eval_times = np.asarray(eval_times, dtype=float)
     n, m = len(sample), len(grid)
-    if m == 0:
-        return np.zeros((n, eval_times.size))
 
     expo_left = hazard.exposure_left()[:, j]
     denom = np.maximum(expo_left, hazard.epsilon)
@@ -381,7 +378,7 @@ def gamma_values(
     grid = hazard.times
     eval_times = np.asarray(eval_times, dtype=float)
     n, m, size = len(sample), len(grid), len(hazard.states)
-    if m == 0 or eval_times.size == 0:
+    if eval_times.size == 0:
         return np.zeros((n, eval_times.size, size))
 
     expo_left = hazard.exposure_left()
@@ -481,8 +478,7 @@ def gamma_values(
         terms = part[1:].reshape(live_k.size, size + 1, ends.size - f, size)
         lefts = left[hi - 1 - live_k][:, None]
         np.matmul(lefts, by_point[live_k, f:], out=terms.transpose(0, 2, 1, 3))
-        for prev, cur in zip(part, part[1:]):
-            np.add(prev, cur, out=cur)
+        np.cumsum(part, axis=0, out=part)
         acc[:, cols] = part[-1]
         part_rows = part.reshape(-1, part.shape[2])
         # a chunk gathers its terms in layout order, then rank r adds to

@@ -12,6 +12,9 @@ table or by :func:`write_sample`. A sample read by :func:`load_sample`
 is parsed straight into columns and builds its table at once, and one
 drawn by ``simulate_sample`` is made from the columns of its draws and
 builds its table on first use; both build their paths only when asked.
+
+Every sample obeys the same path rules, whatever made it: columns made
+from paths or draws are checked as they are made (:meth:`_Columns.of`).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -39,7 +42,30 @@ class ParseError(ValueError):
 
 
 class ValidationError(ValueError):
-    """Structurally parsed data that violates the path invariants."""
+    """A sample, parsed or built, that violates the path invariants."""
+
+
+# the path rules, named as ``_Columns.of`` names their masks, with the wording
+# of a broken one about path ``p``: a subject's own, each jump's, its end's
+_SUBJECT_RULES = {
+    "dimension": "covariate dimension {length} != {dim}",
+    "covariate": "non-finite covariate in {p.covariates}",
+    "end time": "end_time must be positive and finite, got {p.end_time}",
+    "reason": "unknown end_reason {p.end_reason!r}",
+    "initial label": "unknown state label {p.initial_state}",
+    "initial absorbing": "initial state {p.initial_state} is absorbing",
+}
+_JUMP_RULES = {
+    "label": "unknown state label {label}",
+    "time": "jump times must be positive, finite and strictly increasing, got t={t}",
+    "late": "jump at t={t} after end_time={p.end_time}",
+    "self-transition": "self-transition into {label} at t={t}",
+    "escape": "jump out of absorbing state {before} at t={t}",
+}
+_END_RULES = {
+    "absorbed in": "absorbed in non-absorbing state {p.final_state}",
+    "absorbed at": "absorbed path must end at its last jump time",
+}
 
 
 @dataclass(frozen=True)
@@ -136,7 +162,8 @@ class Sample:
 
     @cached_property
     def _columns(self) -> _Columns:
-        return _Columns.from_paths(self.paths, self.state_space.states, self.covariate_dim)
+        subjects = [tuple(vars(p).values()) for p in self.paths]
+        return _Columns.of(subjects, self.state_space, self.covariate_dim)
 
     @cached_property
     def table(self) -> EventTable:
@@ -152,7 +179,6 @@ class _Columns:
     ``end_time`` and ``censored``. Per recorded jump, subject by subject
     and in path order within a subject: ``subj``, ``time`` and ``state``,
     the index of the state entered. States index ``state_space.states``.
-    A jump recorded after its subject's end of follow-up is kept here.
     """
 
     covariates: np.ndarray
@@ -164,41 +190,77 @@ class _Columns:
     state: np.ndarray
 
     @classmethod
-    def of(cls, subjects, jumps, states, dim: int) -> _Columns:
-        """Columns of ``subjects`` and ``jumps``, lists as the sampler makes them.
+    def of(cls, subjects, space: StateSpace, dim: int) -> _Columns:
+        """Columns of ``subjects``, each a tuple of an :class:`ObservedPath`'s fields.
 
-        A subject is ``(covariates, initial label, jump count, end time,
-        censored)``; ``jumps`` holds their ``(time, label)`` pairs in turn.
+        They are checked against the path rules: a broken one raises
+        ``ValidationError``, naming the first subject that breaks a rule by
+        its index, and the first rule it breaks.
         """
-        index = {s: i for i, s in enumerate(states)}
-        covariates, init, count, end_time, censored = zip(*subjects) if subjects else [()] * 5
-        times, labels = zip(*jumps) if jumps else ((), ())
-        return cls(
-            covariates=np.array(covariates, float).reshape(len(init), dim),
-            init=np.fromiter(map(index.__getitem__, init), np.intp, len(init)),
+        index = {s: i for i, s in enumerate(space.states)}
+        covariates, init, jumps, end_time, reason = zip(*subjects) if subjects else [()] * 5
+        flat = list(chain.from_iterable(jumps))
+        times, labels = zip(*flat) if flat else ((), ())
+        n = len(init)
+        dims = np.fromiter(map(len, covariates), np.intp, n)
+        if (dims != dim).any():  # a row of the right size stands in for the array
+            covariates = [x if len(x) == dim else (0.0,) * dim for x in covariates]
+        reason = np.array(reason, dtype=object)
+        columns = cls(
+            covariates=np.array(covariates, float).reshape(n, dim),
+            init=np.fromiter(map(index.get, init, repeat(-1)), np.intp, n),
             end_time=np.array(end_time, dtype=float),
-            censored=np.array(censored, dtype=bool),
-            subj=np.repeat(np.arange(len(count)), count),
+            censored=reason == CENSORED,
+            subj=np.repeat(np.arange(n), np.fromiter(map(len, jumps), np.intp, n)),
             time=np.array(times, dtype=float),
-            state=np.fromiter(map(index.__getitem__, labels), np.intp, len(labels)),
+            state=np.fromiter(map(index.get, labels, repeat(-1)), np.intp, len(labels)),
         )
+        absorbing = np.array([s in space.absorbing for s in space.states] + [False])
+        unknown = (reason != CENSORED) & (reason != ABSORBED)
+        broken = {**columns.broken(absorbing), "dimension": dims != dim, "reason": unknown}
+        bad = np.logical_or.reduce([broken[rule] for rule in (*_SUBJECT_RULES, *_END_RULES)])
+        bad[columns.subj[np.logical_or.reduce([broken[rule] for rule in _JUMP_RULES])]] = True
+        if not bad.any():
+            return columns
+        # the first rule the first bad subject breaks: its own, each jump's, its end's
+        s = int(np.flatnonzero(bad)[0])
+        lo, hi = np.searchsorted(columns.subj, [s, s + 1]).tolist()
+        path = ObservedPath(*subjects[s])
+        steps = [(_SUBJECT_RULES, s), *((_JUMP_RULES, j) for j in range(lo, hi)), (_END_RULES, s)]
+        rules, rule, at = next((g, r, at) for g, at in steps for r in g if broken[r][at])
+        # a jump's earlier ones passed every rule: their times increase to its own
+        t, label = path.jumps[at - lo] if rules is _JUMP_RULES else (math.nan, None)
+        before = path.state_before(t)
+        message = rules[rule].format(p=path, dim=dim, length=dims[s], t=t, label=label, before=before)
+        raise ValidationError(f"subject {s}: {message}")
 
-    @classmethod
-    def from_paths(cls, paths, states, dim: int) -> _Columns:
-        subjects = [
-            (p.covariates, p.initial_state, len(p.jumps), p.end_time, p.end_reason == CENSORED)
-            for p in paths
-        ]
-        try:
-            return cls.of(subjects, [jump for p in paths for jump in p.jumps], states, dim)
-        except KeyError:
-            subject, label = next(
-                (subject, label)
-                for subject, p in enumerate(paths)
-                for label in (p.initial_state, *(s for _, s in p.jumps))
-                if label not in states
-            )
-            raise ValueError(f"subject {subject}: unknown state label {label}") from None
+    def broken(self, absorbing: np.ndarray) -> dict[str, np.ndarray]:
+        """Masks of the subjects or jumps that break each path rule the columns show.
+
+        ``absorbing`` flags each state index, and one more, False, for the
+        index -1 of an unknown label.
+        """
+        opens = np.ones(self.subj.size, dtype=bool)  # a subject's first jump
+        opens[1:] = self.subj[1:] != self.subj[:-1]
+        since, before = np.roll(self.time, 1), np.roll(self.state, 1)
+        since[opens], before[opens] = 0.0, self.init[self.subj[opens]]
+        count = np.bincount(self.subj, minlength=len(self.init))
+        last = (np.cumsum(count) - 1)[count > 0]
+        final, last_time = self.init.copy(), np.full_like(self.end_time, math.nan)
+        final[count > 0], last_time[count > 0] = self.state[last], self.time[last]
+        return {
+            "covariate": ~np.isfinite(self.covariates).all(axis=1),
+            "end time": ~((0.0 < self.end_time) & (self.end_time < math.inf)),
+            "initial label": self.init < 0,
+            "initial absorbing": absorbing[self.init],
+            "label": self.state < 0,
+            "time": ~((since < self.time) & (self.time < math.inf)),
+            "late": self.time > self.end_time[self.subj],
+            "self-transition": self.state == before,
+            "escape": absorbing[before],
+            "absorbed in": ~self.censored & ~absorbing[final],
+            "absorbed at": ~self.censored & (last_time != self.end_time),
+        }
 
     def paths(self, states) -> tuple[ObservedPath, ...]:
         labels = np.array(states, dtype=object)
@@ -228,9 +290,7 @@ class EventTable:
     ``end_pos`` (last grid index at or before it) and ``censored``.
 
     Jump rows ``subj, pos, src, dst`` run subject by subject, in time
-    order within a subject. A jump recorded after its subject's end of
-    follow-up keeps its grid time but is dropped from the rows; this is
-    the only place that clips. Stay rows ``soj_*`` list each sojourn in
+    order within a subject. Stay rows ``soj_*`` list each sojourn in
     the same order, one more per subject than it has jumps: entered at
     ``soj_entry`` (-1 from time 0), left at ``soj_exit`` (the last grid
     index once absorbed) into ``soj_next`` (-1 at the end of follow-up).
@@ -261,10 +321,8 @@ class EventTable:
     def build(cls, columns: _Columns) -> EventTable:
         n = len(columns.init)
         grid = np.unique(np.concatenate([columns.time, columns.end_time[columns.censored]]))
-        # the clip: a jump after the end of follow-up ends no stay
-        kept = columns.time <= columns.end_time[columns.subj]
-        subj, time, dst = columns.subj[kept], columns.time[kept], columns.state[kept]
-        # subject l's stays are rows first[l] .. last[l]: one per kept jump
+        subj, time, dst = columns.subj, columns.time, columns.state
+        # subject l's stays are rows first[l] .. last[l]: one per jump
         # (the stay that jump ends), then the stay follow-up ends
         first = np.searchsorted(subj, np.arange(n)) + np.arange(n)
         last = np.searchsorted(subj, np.arange(n), side="right") + np.arange(n)
@@ -302,53 +360,6 @@ class EventTable:
         for column in vars(table).values():
             column.setflags(write=False)
         return table
-
-
-def validate(sample: Sample, labels=None) -> list[str]:
-    """Check every path invariant; returns violation messages, empty if clean.
-
-    Violations name the offending subject by its entry in ``labels``, one
-    string per path, or else by its position in the sample.
-    """
-    problems: list[str] = []
-    space = sample.state_space
-    known = set(space.states)
-    dim = sample.covariate_dim
-    if labels is None:
-        labels = [f"subject {idx}" for idx in range(len(sample))]
-    for where, path in zip(labels, sample.paths, strict=True):
-        if len(path.covariates) != dim:
-            problems.append(f"{where}: covariate dimension {len(path.covariates)} != {dim}")
-        if not all(math.isfinite(c) for c in path.covariates):
-            problems.append(f"{where}: non-finite covariate in {path.covariates}")
-        if not 0 < path.end_time < math.inf:
-            problems.append(f"{where}: end_time must be positive and finite, got {path.end_time}")
-        if path.end_reason not in (CENSORED, ABSORBED):
-            problems.append(f"{where}: unknown end_reason {path.end_reason!r}")
-        if path.initial_state not in known:
-            problems.append(f"{where}: unknown state label {path.initial_state}")
-        if path.initial_state in space.absorbing:
-            problems.append(f"{where}: initial state {path.initial_state} is absorbing")
-        prev_time = 0.0
-        prev_state = path.initial_state
-        for time, state in path.jumps:
-            if state not in known:
-                problems.append(f"{where}: unknown state label {state}")
-            if not prev_time < time < math.inf:
-                problems.append(f"{where}: jump times must be positive, finite and strictly increasing, got t={time}")
-            if time > path.end_time:
-                problems.append(f"{where}: jump at t={time} after end_time={path.end_time}")
-            if state == prev_state:
-                problems.append(f"{where}: self-transition into {state} at t={time}")
-            if prev_state in space.absorbing:
-                problems.append(f"{where}: jump out of absorbing state {prev_state} at t={time}")
-            prev_time, prev_state = time, state
-        if path.end_reason == ABSORBED:
-            if path.final_state not in space.absorbing:
-                problems.append(f"{where}: absorbed in non-absorbing state {path.final_state}")
-            if not path.jumps or path.jumps[-1][0] != path.end_time:
-                problems.append(f"{where}: absorbed path must end at its last jump time")
-    return problems
 
 
 def load_sample(path) -> Sample:
@@ -453,12 +464,25 @@ class _Rows:
         censored = flag[last] == _FLAG_CODES["1"]
         covariates = self._covariates(at[first])
         repeated = ~starts & (state == np.roll(state, 1))
+        jumps = np.flatnonzero(~starts & ~repeated)
+        columns = _Columns(
+            covariates=covariates,
+            init=state[first],
+            end_time=time[last],
+            censored=censored,
+            subj=subj[jumps],
+            time=time[jumps],
+            state=state[jumps],
+        )
+        absorbing = np.zeros(len(labels) + 1, dtype=bool)
+        absorbing[state[last[~censored]]] = True
+        broken = columns.broken(absorbing)
 
         # the subject rules, as masks over rows and subjects
         dup_time = ~starts & (time <= np.roll(time, 1))
         early_flag = ~ends & (flag != _FLAG_CODES[""])
         bad_repeat = repeated & ~(ends & censored[subj])
-        bad = (time[first] != 0.0) | (first == last) | ~np.isfinite(covariates).all(axis=1)
+        bad = (time[first] != 0.0) | (first == last) | broken["covariate"]
         bad |= (flag[last] != _FLAG_CODES["0"]) & ~censored
         for rule in (dup_time, early_flag, bad_repeat):
             bad[subj[rule]] = True
@@ -498,35 +522,21 @@ class _Rows:
                 f"(line {line(r)})"
             )
 
-        # what is left of the path invariants: no subject may start in, or
-        # jump out of, a state that some subject is absorbed in
-        absorbing = np.zeros(len(labels), dtype=bool)
-        absorbing[state[last[~censored]]] = True
-        jump = ~starts & ~repeated
-        escape = jump & absorbing[np.roll(state, 1)]
-        starts_absorbed = absorbing[state[first]]
+        # what is left of the path rules: no subject may start in, or jump
+        # out of, a state that some subject is absorbed in
+        starts_absorbed, escape = broken["initial absorbing"], broken["escape"]
         if starts_absorbed.any() or escape.any():
             problems = []
-            for s in np.union1d(np.flatnonzero(starts_absorbed), subj[escape]).tolist():
+            for s in np.union1d(np.flatnonzero(starts_absorbed), columns.subj[escape]).tolist():
                 where = f"id {sids[s]!r} (line {self.lines[at[first[s]]]})"
                 if starts_absorbed[s]:
                     problems.append(f"{where}: initial state {labels[state[first[s]]]} is absorbing")
-                for r in np.flatnonzero(escape & (subj == s)).tolist():
+                for r in jumps[escape & (columns.subj == s)].tolist():
                     left, t = labels[state[r - 1]], time[r].tolist()
                     problems.append(f"{where}: jump out of absorbing state {left} at t={t}")
             raise ValidationError("; ".join(problems))
 
-        jumps = np.flatnonzero(jump)
-        columns = _Columns(
-            covariates=covariates,
-            init=state[first],
-            end_time=time[last],
-            censored=censored,
-            subj=subj[jumps],
-            time=time[jumps],
-            state=state[jumps],
-        )
-        space = StateSpace(tuple(labels), frozenset(labels[i] for i in np.flatnonzero(absorbing)))
+        space = StateSpace(tuple(labels), frozenset(labels[i] for i in np.flatnonzero(absorbing[:-1])))
         sample = Sample._from_columns(columns, space)
         sample.table  # noqa: B018 -- a loaded sample holds its table from the start
         return sample

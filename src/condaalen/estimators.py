@@ -27,8 +27,8 @@ censoring of nonzero weight happens, and on the occurring cells, the
 (from, to) transitions among those jumps. Every other row and cell
 would only add exact zeros, so the result has the bits of the dense
 pass over the whole ``(m, S, S)`` grid, which the tests keep as the
-reference. It records the rows where a subject of nonzero weight
-jumps, ``HazardEstimate.rows``; the hazard is constant between them,
+reference. It records on the hazard's ``StepMatrix`` the rows where a
+subject of nonzero weight jumps; the hazard is constant between them,
 so ``aalen_johansen`` runs its recursion on those rows alone.
 """
 
@@ -71,13 +71,6 @@ class HazardEstimate:
         below ``epsilon``.
     states : tuple[int, ...]
         State label of each matrix axis.
-    rows : np.ndarray
-        Sorted int index of the grid rows where the hazard may move: its
-        increment is zero at every other row, and ``aalen_johansen``
-        reads only these. ``nelson_aalen`` gives the rows where a subject
-        of nonzero weight jumps; left out, it is derived from the rows
-        with a nonzero increment. ``dataclasses.replace`` keeps it, so a
-        copy with another ``hazard`` passes ``rows=None``.
     """
 
     hazard: StepMatrix
@@ -86,16 +79,6 @@ class HazardEstimate:
     counts: StepMatrix
     floor_active: dict[int, tuple[float, ...]]
     states: tuple[int, ...]
-    rows: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.rows is None:
-            with np.errstate(invalid="ignore"):  # inf - inf is a nonzero increment, NaN
-                inc = self.hazard.increments()
-            rows = np.flatnonzero((inc != 0.0).any(axis=(1, 2)))
-        else:
-            rows = np.asarray(self.rows, dtype=np.intp)
-        object.__setattr__(self, "rows", rows)
 
     @property
     def times(self) -> np.ndarray:
@@ -189,7 +172,7 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
     (grid time, from, to) cell, of the censored subjects per (end time,
     final state) cell and of the initial states. The exposure follows
     the flow identity, initial mass plus inflow minus outflow minus
-    censoring; jumps past a subject's end of follow-up are not counted.
+    censoring.
     Each off-diagonal hazard increment is the count increment over the
     exposure left limit floored at ``epsilon``; the grid times where the
     left limit was below ``epsilon`` are recorded per state in
@@ -248,10 +231,10 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
     end = tab.end_pos[censored]
     live = np.zeros(m, dtype=bool)
     live[pos] = True
-    rows = np.flatnonzero(live)  # the hazard moves on these rows only
+    rows = np.flatnonzero(live).astype(np.int32 if m < 2**31 else np.intp)  # where the hazard moves
     live[end] = True
     rank = np.cumsum(live)  # each grid row's column: the live rows up to it
-    width = 1 + (int(rank[-1]) if m else 0)
+    width = 1 + int(rank[-1])
 
     present = np.bincount(cell, minlength=size * size) > 0
     cells = np.flatnonzero(present)
@@ -299,8 +282,10 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
     exposure = np.take(expo, rank, axis=1)
     below = np.take(expo < epsilon, rank - live, axis=1)  # at each row's left limit
     checked = _Checked(grid)  # one check of the grid for all five step functions
+    hazard = StepMatrix(checked, hazard)
+    object.__setattr__(hazard, "_rows", rows)
     return HazardEstimate(
-        hazard=StepMatrix(checked, hazard),
+        hazard=hazard,
         epsilon=float(epsilon),
         exposure={
             s: StepCurve(checked, exposure[i], float(initial[i])) for i, s in enumerate(states)
@@ -308,7 +293,6 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
         counts=StepMatrix(checked, counts),
         floor_active={s: tuple(grid[below[i]]) for i, s in enumerate(states)},
         states=states,
-        rows=rows,
     )
 
 
@@ -336,7 +320,7 @@ def aalen_johansen(hazard: HazardEstimate, initial) -> OccupationEstimate:
     mass of ``initial`` is conserved at every time.
 
     Cost: a step with ``dA = 0`` leaves ``p`` alone, so the recursion
-    reads only the rows in ``hazard.rows``, L of the m grid rows. Their
+    reads only the rows in ``hazard.hazard._rows``, L of the m grid rows. Their
     increments are the differences of the cumulative hazard at those rows
     and the rows before them (``hazard.hazard.initial`` before row 0), the
     bits of ``hazard.hazard.increments()`` there. In continuous time no
@@ -372,7 +356,7 @@ def aalen_johansen(hazard: HazardEstimate, initial) -> OccupationEstimate:
         )
     grid = hazard.hazard.times
     m, cells = len(grid), size * size
-    rows = hazard.rows
+    rows = hazard.hazard._rows
     cumulative = hazard.hazard.values.reshape(m, cells)
     inc = np.take(cumulative, rows, axis=0)
     before = np.take(cumulative, rows - 1, axis=0)  # row -1 reads the last row: replaced
@@ -495,10 +479,8 @@ def fit(
     if theta is None:
         tab = sample.table
         censor_times = tab.end_time[(weights.weights > 0.0) & tab.censored]
-        if censor_times.size:
-            theta = censor_times.max()
-        else:
-            theta = float(hazard.times[-1]) if hazard.times.size else 0.0
+        # a sample's grid holds a time per subject: its censoring or absorption
+        theta = censor_times.max() if censor_times.size else hazard.times[-1]
     phi = phi_estimate(spec, weights.density_value, flags)
     return FitResult(
         x=x,

@@ -28,8 +28,8 @@ a change to numpy's seeding fails there. A jump target is drawn as
 ``Generator.choice(targets, p=p)`` draws it, bit for bit, with no array
 built per jump (:func:`_choose`), and a ``uniform`` law's value as
 ``Generator.uniform`` draws it (:func:`_uniform`). Both samplers run one
-per-subject routine; :func:`simulate_sample` appends its output to flat
-lists and builds no path object.
+per-subject routine; :func:`simulate_sample` appends its output to a
+list and builds no path object.
 
 Scenario files are JSON; rate expressions use a restricted arithmetic
 grammar over ``t``, ``duration``, and the covariates ``x1 .. xd`` (``x``
@@ -422,7 +422,7 @@ def _load(bit_generator, row) -> None:
 
 
 def _simulate_subject(intensity: IntensitySpec, censoring, rng_jump, rng_cens):
-    """One subject from its two streams: its tuple and its jumps, as ``_Columns.of`` takes them."""
+    """One subject from its two streams, the tuple of its ``ObservedPath``'s fields."""
     x = intensity.covariate_law(rng_jump)
     if type(x) is not tuple or not all(type(v) is float for v in x):
         x = tuple(float(v) for v in np.atleast_1d(x))
@@ -431,7 +431,7 @@ def _simulate_subject(intensity: IntensitySpec, censoring, rng_jump, rng_cens):
         raise ValueError(f"censoring law produced non-positive or non-finite time {censor_time}")
     sampler = _simulate_jumps_constant if intensity.time_constant else _simulate_jumps_thinning
     jumps, absorbed, end = sampler(intensity, x, censor_time, rng_jump)
-    return (x, intensity.initial_state, len(jumps), end, not absorbed), jumps
+    return x, intensity.initial_state, jumps, end, ABSORBED if absorbed else CENSORED
 
 
 def simulate_path(intensity: IntensitySpec, censoring, seed, index: int) -> ObservedPath:
@@ -446,8 +446,7 @@ def simulate_path(intensity: IntensitySpec, censoring, seed, index: int) -> Obse
         bit_generator = np.random.PCG64(0)
         _load(bit_generator, row)
         rngs.append(np.random.Generator(bit_generator))
-    (x, initial, _, end, censored), jumps = _simulate_subject(intensity, censoring, *rngs)
-    return ObservedPath(x, initial, tuple(jumps), end, CENSORED if censored else ABSORBED)
+    return ObservedPath(*_simulate_subject(intensity, censoring, *rngs))
 
 
 def simulate_sample(
@@ -458,7 +457,7 @@ def simulate_sample(
     Subject ``i`` is ``simulate_path(intensity, censoring, seed, i)``. The
     streams of a chunk of subjects are seeded in one pass and loaded, one
     subject at a time, into two reused generators. Each subject's fields
-    go into flat lists, and the sample is made from their columns: it
+    go into a list, and the sample is made from their checked columns: it
     builds its ``paths`` and its table only when they are first read.
     """
     if n < 1:
@@ -466,7 +465,7 @@ def simulate_sample(
     key = _words(seed)
     jump, cens = np.random.PCG64(0), np.random.PCG64(0)
     rng_jump, rng_cens = np.random.Generator(jump), np.random.Generator(cens)
-    subjects, jumps = [], []
+    subjects = []
     for lo in range(0, n, _CHUNK):
         # rows key + [index, k]: an index below n fits one 32-bit word
         index = np.arange(lo, min(n, lo + _CHUNK), dtype=np.uint32)
@@ -478,11 +477,9 @@ def simulate_sample(
         for row_jump, row_cens in zip(states[::2], states[1::2]):
             _load(jump, row_jump)
             _load(cens, row_cens)
-            subject, path = _simulate_subject(intensity, censoring, rng_jump, rng_cens)
-            subjects.append(subject)
-            jumps += path
+            subjects.append(_simulate_subject(intensity, censoring, rng_jump, rng_cens))
     space = intensity.state_space
-    columns = _Columns.of(subjects, jumps, space.states, len(subjects[0][0]))
+    columns = _Columns.of(subjects, space, len(subjects[0][0]))
     return Sample._from_columns(columns, space)
 
 
@@ -592,7 +589,7 @@ def brute_force_estimator(
         for wl, p in zip(w, sample.paths):
             prev = p.initial_state
             for jt, js in p.jumps:
-                if jt <= t and jt <= p.end_time:
+                if jt <= t:
                     c[index[prev], index[js]] += wl
                 prev = js
         return c
@@ -689,6 +686,8 @@ def _covariate_draw(law: dict):
         return _uniform(low, high)
     if kind == "normal":
         mean, sd = _number(law, "mean"), _number(law, "sd")
+        if not (math.isfinite(mean) and math.isfinite(sd)):
+            raise ValueError(f"normal covariate law needs a finite mean and sd: {mean}, {sd}")
         return lambda rng: rng.normal(mean, sd)
     if kind == "discrete":
         values, cdf = _discrete_law(law["values"], law["probs"])
@@ -718,6 +717,8 @@ def _discrete_law(values, probs) -> tuple[list[float], list[float]]:
         ) from None
     if not support:
         raise ValueError("discrete law needs at least one value")
+    if not all(map(math.isfinite, support)):
+        raise ValueError(f"discrete law values must be finite numbers: {values!r}")
     if len(p) != len(support):
         raise ValueError(f"discrete law has {len(support)} values but {len(p)} probs")
     if any(math.isnan(v) for v in p):

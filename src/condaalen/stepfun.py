@@ -8,6 +8,7 @@ and ``initial`` is the value held on ``[0, times[0])``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -121,6 +122,13 @@ class StepMatrix:
     def left(self, t: float) -> np.ndarray:
         idx = int(np.searchsorted(self.times, t, side="left")) - 1
         return self.initial if idx < 0 else self.values[idx]
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """The rows where it may move, as ``nelson_aalen`` sets them, or from its increments."""
+        with np.errstate(invalid="ignore"):  # inf - inf is a nonzero increment, NaN
+            rows = np.flatnonzero((self.increments() != 0.0).any(axis=(1, 2)))
+        return rows.astype(np.int32 if self.times.size < 2**31 else np.intp)
 
     def increments(self) -> np.ndarray:
         """Per-time jump matrices, shape ``(len(times), S, S)``."""

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from condaalen.checks import _floor_sample
 from condaalen.cli import _write_surface, main
 from condaalen.covariance import CovarianceSurface
 from condaalen.data import load_sample, write_sample
-from condaalen.simulate import default_scenario_json
+from condaalen.simulate import default_scenario, default_scenario_json, simulate_sample
 
 
 @pytest.fixture(scope="module")
@@ -235,10 +236,36 @@ def test_simulate_rejects_wrong_collection_fields(tmp_path, capsys, field, value
             lambda raw: raw.update(censoring={"law": "fixed", "value": math.inf}),
             "fixed censoring time must be positive and finite, got inf",
         ),
+        # a covariate law that cannot give a finite value is refused at load
+        (
+            lambda raw: raw.update(
+                covariates=[{"law": "discrete", "values": [0.25, math.inf], "probs": [0.5, 0.5]}]
+            ),
+            "discrete law values must be finite numbers: [0.25, inf]",
+        ),
+        (
+            lambda raw: raw.update(covariates=[{"law": "normal", "mean": 0.5, "sd": math.inf}]),
+            "normal covariate law needs a finite mean and sd: 0.5, inf",
+        ),
+        (
+            lambda raw: raw.update(covariates=[{"law": "normal", "mean": math.nan, "sd": 1.0}]),
+            "normal covariate law needs a finite mean and sd: nan, 1.0",
+        ),
+        # a draw that overflows breaks the path rules; the rates do not read it
+        (
+            lambda raw: raw.update(
+                n=100,
+                covariates=[{"law": "normal", "mean": 0.5, "sd": 1e308}],
+                rates={"1->2": "0.8", "1->3": "0.4", "2->3": "0.6"},
+            ),
+            "subject 19: non-finite covariate in (inf,)",
+        ),
     ],
     ids=["unknown-initial-state", "rate-out-of-absorbing", "no-covariates",
          "uniform-range-overflows", "uniform-infinite-high", "uniform-nan-low",
-         "uniform-low-above-high", "uniform-censoring-infinite-high", "fixed-censoring-infinite"],
+         "uniform-low-above-high", "uniform-censoring-infinite-high", "fixed-censoring-infinite",
+         "discrete-infinite-value", "normal-infinite-sd", "normal-nan-mean",
+         "normal-draw-overflows"],
 )  # fmt: skip
 def test_simulate_rejects_scenario_it_would_misrepresent(tmp_path, capsys, mutate, needle):
     raw = default_scenario_json(n=5, seed=1)
@@ -313,6 +340,33 @@ def test_simulate_refuses_integer_power_tower(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: rate 1->2 at t=0.0: "), lines
     assert not out.exists()
+
+
+# as _MAIN, in a child that first bounds its own address space to 400 MB:
+# numpy loads, but the surfaces of a 3000-point grid at n = 2000 do not fit
+_MAIN_IN_400_MB = (
+    "import resource; resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20)); " + _MAIN
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
+def test_covariance_out_of_memory_exits_1_without_a_traceback(tmp_path):
+    sc = default_scenario(n=2000, seed=3)
+    sample = tmp_path / "sample.csv"
+    write_sample(simulate_sample(sc["intensity"], sc["censoring"], 2000, 3), sample)
+    argv = ["covariance", "--input", str(sample), "--x", "0.5", "--grid", "3000"]
+    package = str(Path(condaalen.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_IN_400_MB, package, *argv, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert errors == ["error: covariance --grid 3000: out of memory"]
 
 
 def test_fit_writes_expected_files(workspace):

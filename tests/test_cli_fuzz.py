@@ -8,9 +8,10 @@ Inputs are mutants of a small default-scenario sample CSV, run through
 default scenario file, run through ``simulate``: wrong-typed, infinite,
 NaN and extreme fields and law parameters, censoring laws that can reach
 a subject stuck in a state with no way out, a spiking thinning rate,
-whole documents that are not a scenario object, and rates nested too
-deeply to compile. A ``simulate`` run that exits 0 must write a sample
-that ``load_sample`` reads back. The examples are fixed: a set seed,
+whole documents that are not a scenario object, rates nested too
+deeply to compile, and the values of a ``discrete`` covariate law or
+the ``sd`` of a ``normal`` one. A ``simulate`` run that exits 0 must
+write a sample that ``load_sample`` reads back. The examples are fixed: a set seed,
 derandomised, no example database.
 """
 
@@ -23,7 +24,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from condaalen.cli import main
@@ -54,6 +55,13 @@ CENSORING = (
     {"law": "uniform", "low": 0.0, "high": 2.0},
 )
 CENSORING_VALUES = JSON_VALUES + ("1e-320",)
+# covariate laws whose values or sd a mutant replaces, under rates that do
+# not read the covariate, so that every value drawn reaches the sample
+CONSTANT_RATES = {"1->2": "0.8", "1->3": "0.4", "2->3": "0.6"}
+COVARIATE_LAWS = (
+    {"law": "discrete", "values": [0.25, 0.75], "probs": [0.5, 0.5]},
+    {"law": "normal", "mean": 0.5, "sd": 0.2},
+)
 # whole scenario files; json.dumps cannot write the 100,000-deep list
 DOCUMENTS = tuple(json.dumps(v) for v in JSON_VALUES) + ("[" * 100_000 + "]" * 100_000,)
 # rates that the parser, the rewrite or the compiler cannot take
@@ -141,6 +149,22 @@ def scenario_mutants(draw) -> str:
     return json.dumps(raw)
 
 
+@st.composite
+def covariate_law_mutants(draw) -> str:
+    law = copy.deepcopy(draw(st.sampled_from(COVARIATE_LAWS)))
+    value = draw(st.sampled_from(JSON_VALUES))
+    if law["law"] == "discrete":
+        law["values"][draw(st.integers(0, 1))] = value
+    else:
+        law["sd"] = value
+    return _covariate_law(law)
+
+
+def _covariate_law(law: dict) -> str:
+    raw = default_scenario_json(n=5, seed=1)
+    return json.dumps({**raw, "covariates": [law], "rates": CONSTANT_RATES})
+
+
 def _run(argv: list[str]) -> tuple[int, str]:
     """``main(argv)``'s exit code and stderr; fails on any warning."""
     err = io.StringIO()
@@ -158,6 +182,20 @@ def _check_error_lines(code: int, stderr: str) -> None:
         assert errors == []
     else:
         assert len(errors) == 1, stderr
+
+
+def _check_simulate(text: str) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(text, encoding="utf-8")
+        out = Path(tmp) / "sample.csv"
+        code, stderr = _run(["simulate", "--scenario", str(scenario), "--out", str(out)])
+        assert code in (0, 1)
+        _check_error_lines(code, stderr)
+        assert out.exists() == (code == 0)
+        if code == 0:
+            # what simulate writes, fit can read
+            load_sample(out)
 
 
 @seed(20260)
@@ -180,14 +218,14 @@ def test_fit_and_covariance_keep_the_exit_code_contract(text, argv):
 @given(scenario_mutants())
 @FUZZ
 def test_simulate_keeps_the_exit_code_contract(text):
-    with tempfile.TemporaryDirectory() as tmp:
-        scenario = Path(tmp) / "scenario.json"
-        scenario.write_text(text, encoding="utf-8")
-        out = Path(tmp) / "sample.csv"
-        code, stderr = _run(["simulate", "--scenario", str(scenario), "--out", str(out)])
-        assert code in (0, 1)
-        _check_error_lines(code, stderr)
-        assert out.exists() == (code == 0)
-        if code == 0:
-            # what simulate writes, fit can read
-            load_sample(out)
+    _check_simulate(text)
+
+
+@seed(20263)
+@given(covariate_law_mutants())
+@example(_covariate_law({"law": "discrete", "values": [0.25, float("inf")], "probs": [0.5, 0.5]}))
+@example(_covariate_law({"law": "normal", "mean": 0.5, "sd": 1e308}))
+@FUZZ
+def test_simulate_keeps_the_exit_code_contract_on_covariate_laws(text):
+    _check_simulate(text)
+

@@ -26,7 +26,7 @@ from test_differential import TICK, fits
 
 from condaalen import covariance
 from condaalen.covariance import default_surface_grid, gamma_values
-from condaalen.data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace, validate
+from condaalen.data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace
 from condaalen.estimators import _generator, fit
 from condaalen.simulate import default_scenario, simulate_sample
 
@@ -234,7 +234,7 @@ def _five_state_sample(n, seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_gamma_values_matches_stepwise_pass_with_five_states(seed):
     sample = _five_state_sample(200, seed)
-    assert validate(sample) == []
+    sample.table  # noqa: B018 -- the path rules hold
     r = fit(sample, (0.5,))
     times = r.hazard.times
     grid = np.concatenate([[0.0], times, times + TICK / 2])

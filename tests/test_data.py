@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from condaalen.data import (
     StateSpace,
     ValidationError,
     load_sample,
-    validate,
     write_sample,
 )
 from condaalen.estimators import fit
@@ -218,7 +219,7 @@ def _space():
 
 def test_validate_clean():
     p = ObservedPath((0.1,), 1, ((1.0, 3),), 1.0, ABSORBED)
-    assert validate(Sample((p,), _space())) == []
+    assert Sample((p,), _space()).table.grid.tolist() == [1.0]
 
 
 @pytest.mark.parametrize(
@@ -237,29 +238,30 @@ def test_validate_clean():
         (ObservedPath((float("nan"),), 1, (), 1.0, CENSORED), "non-finite covariate"),
         (ObservedPath((0.1,), 1, (), float("inf"), CENSORED), "positive and finite"),
         (ObservedPath((0.1,), 1, ((float("nan"), 2),), 1.0, CENSORED), "finite and strictly increasing"),
+        # absorbed without a jump: the only path that put no time on the grid
+        (ObservedPath((0.1,), 1, (), 1.0, ABSORBED), "non-absorbing"),
     ],
 )
 def test_validate_flags_violation(path, needle):
-    msgs = validate(Sample((path,), _space()))
-    assert any(needle in m for m in msgs), msgs
+    # a hand-built sample is checked when its columns are first built
+    with pytest.raises(ValidationError, match=f"^subject 0: .*{needle}"):
+        Sample((path,), _space()).table  # noqa: B018
 
 
 def test_validate_covariate_dim_mismatch():
     p = ObservedPath((0.1,), 1, (), 1.0, CENSORED)
     q = ObservedPath((0.1, 0.2), 1, (), 1.0, CENSORED)
-    msgs = validate(Sample((p, q), _space()))
-    assert any("covariate dimension" in m for m in msgs)
+    with pytest.raises(ValidationError, match=r"^subject 1: covariate dimension 2 != 1$"):
+        Sample((p, q), _space()).table  # noqa: B018
 
 
 def test_validate_names_subjects_by_label(tmp_path):
+    # a hand-built sample names a subject by its index, the first one that breaks a rule
     p = ObservedPath((0.1,), 1, (), 1.0, CENSORED)
     q = ObservedPath((0.1,), 4, (), 1.0, CENSORED)
-    sample = Sample((p, q), _space())
-    assert validate(sample) == ["subject 1: unknown state label 4"]
-    labels = ["id 'p' (line 2)", "id 'q' (line 3)"]
-    assert validate(sample, labels) == ["id 'q' (line 3): unknown state label 4"]
-    with pytest.raises(ValueError):
-        validate(sample, labels[:1])
+    r = ObservedPath((0.1,), 3, (), 1.0, CENSORED)
+    with pytest.raises(ValidationError, match=r"^subject 1: unknown state label 4$"):
+        Sample((p, q, r), _space()).table  # noqa: B018
     # load_sample labels each subject by its id and the line of its time-0 row
     text = BASIC.replace("b,0.9,2,,", "b,0.9,3,,")  # b leaves the absorbing state 3
     with pytest.raises(ValidationError, match=r"^id 'b' \(line 5\): jump out of absorbing state 3"):
@@ -281,6 +283,36 @@ def test_unknown_state_label_names_subject(tmp_path, entry, initial, jumps):
         calls[entry]()
 
 
+@pytest.mark.parametrize(
+    "path,message",
+    [
+        (
+            ObservedPath((0.1,), 1, ((2.0, 2), (1.0, 1)), 2.5, CENSORED),
+            "jump times must be positive, finite and strictly increasing, got t=1.0",
+        ),
+        (
+            ObservedPath((0.1,), 1, ((0.5, 3), (0.8, 1)), 1.0, CENSORED),
+            "jump out of absorbing state 3 at t=0.8",
+        ),
+        (ObservedPath((math.nan,), 1, (), 1.0, CENSORED), "non-finite covariate in (nan,)"),
+    ],
+    ids=["out-of-order", "out-of-absorbing", "nan-covariate"],
+)
+@pytest.mark.parametrize("entry", ["fit", "table", "write_sample"])
+def test_hand_built_sample_is_refused_naming_subject_0(tmp_path, entry, path, message):
+    ok = ObservedPath((0.1,), 1, ((0.5, 2),), 1.0, CENSORED)
+    sample = Sample((path, ok), _space())
+    calls = {
+        "fit": lambda: fit(sample, (0.1,)),
+        "table": lambda: sample.table,
+        "write_sample": lambda: write_sample(sample, tmp_path / "out.csv"),
+    }
+    with pytest.raises(ValidationError) as err:
+        calls[entry]()
+    assert str(err.value) == f"subject 0: {message}"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_state_space_validation():
     with pytest.raises(ValueError, match="distinct"):
         StateSpace((1, 1, 2))
@@ -290,12 +322,15 @@ def test_state_space_validation():
 
 def test_event_table_rows_and_clip():
     a = ObservedPath((0.2,), 1, ((0.5, 2), (1.0, 3)), 1.0, ABSORBED)
-    # a jump recorded after the end of follow-up stays on the grid only
-    b = ObservedPath((0.4,), 2, ((2.0, 1),), 1.5, CENSORED)
+    # a jump recorded after the end of follow-up is refused, not clipped
+    late = ObservedPath((0.4,), 2, ((2.0, 1),), 1.5, CENSORED)
+    with pytest.raises(ValidationError, match=r"^subject 1: jump at t=2.0 after end_time=1.5$"):
+        Sample((a, late), _space()).table  # noqa: B018
+    b = ObservedPath((0.4,), 2, (), 1.5, CENSORED)
     sample = Sample((a, b), _space())
     tab = sample.table
     assert sample.table is tab
-    np.testing.assert_array_equal(tab.grid, [0.5, 1.0, 1.5, 2.0])
+    np.testing.assert_array_equal(tab.grid, [0.5, 1.0, 1.5])
     assert (tab.subj.tolist(), tab.pos.tolist()) == ([0, 0], [0, 1])
     assert (tab.src.tolist(), tab.dst.tolist()) == ([0, 1], [1, 2])
     assert (tab.init.tolist(), tab.final.tolist()) == ([0, 1], [2, 1])
@@ -304,6 +339,6 @@ def test_event_table_rows_and_clip():
     assert tab.soj_subj.tolist() == [0, 0, 0, 1]
     assert tab.soj_state.tolist() == [0, 1, 2, 1]
     assert tab.soj_entry.tolist() == [-1, 0, 1, -1]
-    assert tab.soj_exit.tolist() == [0, 1, 3, 2]
+    assert tab.soj_exit.tolist() == [0, 1, 2, 2]
     assert tab.soj_next.tolist() == [1, 2, -1, -1]
     assert not any(col.flags.writeable for col in vars(tab).values())

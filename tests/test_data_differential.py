@@ -2,8 +2,9 @@
 
 The references are the row-by-row code they replaced: a loader that
 builds one ``ObservedPath`` per subject from per-row tuples and checks
-the paths with ``validate``, a writer that passes each row to
-``csv.writer``, and a table builder that walks every path's jumps. The
+the paths one by one, a writer that passes each row to ``csv.writer``,
+and a table builder that walks every path's jumps. The path check also
+gives the wording of the rule a hand-built sample breaks first. The
 reference loader numbers CSV records, which are lines in the files drawn
 here, since none of them has a line break inside a cell.
 
@@ -19,6 +20,7 @@ import io
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from test_cli_fuzz import csv_mutants
@@ -33,7 +35,6 @@ from condaalen.data import (
     ValidationError,
     _Rows,
     load_sample,
-    validate,
     write_sample,
 )
 
@@ -44,6 +45,53 @@ TABLE_COLUMNS = (
     "grid", "subj", "pos", "src", "dst", "covariates", "init", "final", "end_time",
     "end_pos", "censored", "soj_subj", "soj_state", "soj_entry", "soj_exit", "soj_next",
 )  # fmt: skip
+
+
+def _literal_validate(sample: Sample, labels=None) -> list[str]:
+    """Check every path invariant; returns violation messages, empty if clean.
+
+    Violations name the offending subject by its entry in ``labels``, one
+    string per path, or else by its position in the sample.
+    """
+    problems: list[str] = []
+    space = sample.state_space
+    known = set(space.states)
+    dim = sample.covariate_dim
+    if labels is None:
+        labels = [f"subject {idx}" for idx in range(len(sample))]
+    for where, path in zip(labels, sample.paths, strict=True):
+        if len(path.covariates) != dim:
+            problems.append(f"{where}: covariate dimension {len(path.covariates)} != {dim}")
+        if not all(math.isfinite(c) for c in path.covariates):
+            problems.append(f"{where}: non-finite covariate in {path.covariates}")
+        if not 0 < path.end_time < math.inf:
+            problems.append(f"{where}: end_time must be positive and finite, got {path.end_time}")
+        if path.end_reason not in (CENSORED, ABSORBED):
+            problems.append(f"{where}: unknown end_reason {path.end_reason!r}")
+        if path.initial_state not in known:
+            problems.append(f"{where}: unknown state label {path.initial_state}")
+        if path.initial_state in space.absorbing:
+            problems.append(f"{where}: initial state {path.initial_state} is absorbing")
+        prev_time = 0.0
+        prev_state = path.initial_state
+        for time, state in path.jumps:
+            if state not in known:
+                problems.append(f"{where}: unknown state label {state}")
+            if not prev_time < time < math.inf:
+                problems.append(f"{where}: jump times must be positive, finite and strictly increasing, got t={time}")
+            if time > path.end_time:
+                problems.append(f"{where}: jump at t={time} after end_time={path.end_time}")
+            if state == prev_state:
+                problems.append(f"{where}: self-transition into {state} at t={time}")
+            if prev_state in space.absorbing:
+                problems.append(f"{where}: jump out of absorbing state {prev_state} at t={time}")
+            prev_time, prev_state = time, state
+        if path.end_reason == ABSORBED:
+            if path.final_state not in space.absorbing:
+                problems.append(f"{where}: absorbed in non-absorbing state {path.final_state}")
+            if not path.jumps or path.jumps[-1][0] != path.end_time:
+                problems.append(f"{where}: absorbed path must end at its last jump time")
+    return problems
 
 
 def _literal_load_sample(path) -> Sample:
@@ -155,7 +203,7 @@ def _literal_load_sample(path) -> Sample:
     space = StateSpace(tuple(sorted(seen)), frozenset(terminal))
 
     sample = Sample(tuple(paths), space)
-    problems = validate(sample, labels)
+    problems = _literal_validate(sample, labels)
     if problems:
         raise ValidationError("; ".join(problems))
     return sample
@@ -206,9 +254,8 @@ def _literal_table(sample: Sample) -> dict[str, np.ndarray]:
         entry = 0.0
         for t, label in p.jumps:
             times.append(t)
-            if t <= p.end_time:
-                stays.append((ell, state, entry, t, index[label]))
-                state, entry = index[label], t
+            stays.append((ell, state, entry, t, index[label]))
+            state, entry = index[label], t
         censored.append(p.end_reason == CENSORED)
         if censored[-1]:
             times.append(p.end_time)
@@ -255,7 +302,7 @@ def paths(draw, dim, late_jump=False):
     # censored at its last jump, which enters a new state, or in a repeated state
     end = draw(st.integers(ticks[-1] if ticks else 1, 10)) * TICK
     if late_jump and draw(st.booleans()):
-        # a jump recorded after the end of follow-up, which the table clips
+        # a jump recorded after the end of follow-up, which the path rules refuse
         jumps.append((end + TICK, draw(st.sampled_from([s for s in (1, 2) if s != state]))))
     return ObservedPath(covariates, initial, tuple(jumps), end, CENSORED)
 
@@ -321,10 +368,71 @@ def test_loader_matches_literal_on_shuffled_rows(tmp_path_factory, sample, rng):
 def test_path_built_table_and_writer_match_literal(tmp_path_factory, sample):
     tmp = tmp_path_factory.mktemp("paths")
     assert not {"table", "_columns"} & set(vars(sample))
+    problems = _literal_validate(sample)
+    if problems:
+        # a late jump: the table and the writer name its subject, and build nothing
+        for build in (lambda: sample.table, lambda: write_sample(sample, tmp / "fast.csv")):
+            with pytest.raises(ValidationError) as err:
+                build()
+            assert str(err.value) == problems[0]
+        assert not (tmp / "fast.csv").exists()
+        return
     _assert_table(sample.table, _literal_table(sample))
     write_sample(sample, tmp / "fast.csv")
     _literal_write_sample(sample, tmp / "literal.csv")
     assert (tmp / "fast.csv").read_bytes() == (tmp / "literal.csv").read_bytes()
+
+
+# values an edit puts in a path's fields, valid and not
+EDIT_FLOATS = (0.0, -0.25, 0.5, 1.0, 2.5, math.inf, -math.inf, math.nan)
+EDIT_LABELS = (1, 2, 3, 4)
+
+
+@st.composite
+def edited_samples(draw):
+    """A sample of valid paths, one to three fields of which are replaced."""
+    dim = draw(st.integers(1, 2))
+    paths_ = [list(vars(p).values()) for p in draw(st.lists(paths(dim), min_size=1, max_size=6))]
+    for _ in range(draw(st.integers(1, 3))):
+        fields = paths_[draw(st.integers(0, len(paths_) - 1))]
+        covariates, _, jumps, _, _ = fields
+        edit = draw(
+            st.sampled_from(("covariate", "dim", "init", "time", "label", "absorb", "add", "end", "reason"))
+        )
+        if edit == "covariate":
+            fields[0] = (draw(st.sampled_from(EDIT_FLOATS)), *covariates[1:])
+        elif edit == "dim":
+            fields[0] = covariates[:-1] if draw(st.booleans()) else (*covariates, 0.5)
+        elif edit == "init":
+            fields[1] = draw(st.sampled_from(EDIT_LABELS))
+        elif edit in ("time", "label", "absorb") and jumps:
+            i = draw(st.integers(0, len(jumps) - 1))
+            t, label = jumps[i]
+            if edit == "time":
+                t = draw(st.sampled_from(EDIT_FLOATS))
+            else:
+                label = 3 if edit == "absorb" else draw(st.sampled_from(EDIT_LABELS))
+            fields[2] = (*jumps[:i], (t, label), *jumps[i + 1 :])
+        elif edit == "add":
+            t = draw(st.sampled_from(EDIT_FLOATS + (3.0,)))
+            fields[2] = (*jumps, (t, draw(st.sampled_from(EDIT_LABELS))))
+        elif edit == "end":
+            fields[3] = draw(st.sampled_from(EDIT_FLOATS))
+        else:
+            fields[4] = draw(st.sampled_from((CENSORED, ABSORBED, "lost")))
+    return Sample(tuple(ObservedPath(*fields) for fields in paths_), SPACE)
+
+
+@given(edited_samples())
+@settings(max_examples=400, deadline=None)
+def test_hand_built_samples_break_rules_as_the_literal_check_says(sample):
+    problems = _literal_validate(sample)
+    if not problems:
+        _assert_table(sample.table, _literal_table(sample))
+        return
+    with pytest.raises(ValidationError) as err:
+        sample.table  # noqa: B018
+    assert str(err.value) == problems[0]
 
 
 def _outcome(load, path):

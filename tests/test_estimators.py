@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from condaalen import stepfun
-from condaalen.data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace
+from condaalen.data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace, ValidationError
 from condaalen.estimators import (
     HazardEstimate,
     aalen_johansen,
@@ -64,11 +64,13 @@ def test_counts_two_paths():
 
 def test_counts_skip_zero_weight_and_clip():
     space = StateSpace((1, 2), frozenset({2}))
-    # jump recorded past end of follow-up is ignored defensively
-    bad = ObservedPath((0.0,), 1, ((3.0, 2),), 1.0, CENSORED)
+    # a jump recorded past the end of follow-up is refused, not clipped
+    late = ObservedPath((0.0,), 1, ((3.0, 2),), 1.0, CENSORED)
     ok = ObservedPath((0.0,), 1, ((0.5, 2),), 0.5, ABSORBED)
-    s = Sample((bad, ok), space)
-    counts = nelson_aalen(s, _half_weights(), 1e-4).counts
+    with pytest.raises(ValidationError, match=r"^subject 0: jump at t=3.0 after end_time=1.0$"):
+        nelson_aalen(Sample((late, ok), space), _half_weights(), 1e-4)
+    censored = ObservedPath((0.0,), 1, (), 1.0, CENSORED)
+    counts = nelson_aalen(Sample((censored, ok), space), _half_weights(), 1e-4).counts
     assert counts.values[-1][0, 1] == 0.5
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from condaalen.data import ABSORBED, CENSORED, StateSpace, validate
+from condaalen.data import ABSORBED, CENSORED, Sample, StateSpace
 from condaalen.estimators import fit
 from condaalen.kernels import KernelSpec
 from condaalen.simulate import (
@@ -43,7 +43,8 @@ def test_simulation_is_deterministic():
 def test_simulated_samples_validate():
     sc = default_scenario(n=200, seed=13)
     s = simulate_sample(sc["intensity"], sc["censoring"], 200, 13)
-    assert validate(s) == []
+    # the sampler checks the path rules on its columns; its paths pass them again
+    Sample(s.paths, s.state_space).table  # noqa: B018
     assert {p.end_reason for p in s.paths} == {ABSORBED, CENSORED}
 
 

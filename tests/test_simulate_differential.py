@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condaalen import simulate
-from condaalen.data import ABSORBED, CENSORED, ObservedPath, _Columns
+from condaalen.data import ABSORBED, CENSORED, ObservedPath, Sample, _Columns
 from condaalen.simulate import (
     _ALLOWED_FUNCS,
     MARKOV,
@@ -319,7 +319,7 @@ def test_columnar_sample_is_simulate_path_subject_by_subject(name):
         assert path == want and _bits(path) == _bits(want), index
         assert all(type(c) is float for c in path.covariates)
     space = intensity.state_space
-    want = _Columns.from_paths(sample.paths, space.states, sample.covariate_dim)
+    want = Sample(sample.paths, space)._columns
     for field in dataclasses.fields(_Columns):
         got, expected = getattr(sample._columns, field.name), getattr(want, field.name)
         assert got.dtype == expected.dtype and got.shape == expected.shape, field.name
