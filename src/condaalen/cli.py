@@ -334,7 +334,21 @@ def cmd_fit(args) -> int:
     return _EXIT_OK
 
 
+def _map_blas_buffer() -> None:
+    """Have OpenBLAS map its product buffer now, before the sample takes memory.
+
+    OpenBLAS maps a 32 MB buffer at its first product with M * N * K
+    above 100**3, as ``_gram``'s, and it exits the process with its own
+    message when that mapping fails. Once a product past that size has
+    run, a later shortage fails in numpy, as a MemoryError that
+    :func:`main` reports.
+    """
+    square = np.ones((128, 128))
+    square @ square
+
+
 def cmd_covariance(args) -> int:
+    _map_blas_buffer()
     sample, results = _load_and_fit(args)
     for i, result in enumerate(results):
         grid = default_surface_grid(result.hazard.times, args.grid)

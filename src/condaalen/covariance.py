@@ -34,25 +34,27 @@ above it. Only the carry recursion runs step by step, one (S, S)
 product per point a step, in one call. The rest runs once per block of
 steps: one call for the products of the live steps' left rows with the
 block's carries, a cumulative sum that starts from the running sums,
-and the stay and jump terms, added into the subjects' rows a chunk of
-subjects at a time.
+and the stay and jump terms, added into the subjects' rows a slice of
+terms at a time.
 
 The blocks keep the bits of a step-by-step pass because every
 floating-point operation stays the same. Every product is still one
 (S, S) or (S + 1, S) by (S, S) product per point; the carries are
 stored state row first, so that a term is one slice of a row, and the
-BLAS reads a point's matrix with its rows G*S floats apart. A point
-that has not started would only add zeros to zeros. Each partial sum
-is the running sum plus one step's term. Each subject receives its
-additions in the pass's order: step descending, then a step's stay
-boundaries before its own jumps, each in table order. A chunk lays out
-its terms by their rank among their subject's terms, and the r-th terms
-of its subjects go in with one slice add, so no add repeats a subject.
+BLAS reads a point's matrix with its rows (G - f) * S floats apart, f
+being the block's first point. A point that has not started would only
+add zeros to zeros. Each partial sum is the running sum plus one step's
+term. Each subject receives its additions in the pass's order: step
+descending, then a step's stay boundaries before its own jumps, each in
+table order. One stable sort lays all terms out in that order, and
+:func:`_ordered_add` adds a slice of them with one ``np.add.at``, which
+adds a repeated index unbuffered, in index order. :func:`zeta_values`
+adds its stay terms the same way, a chunk of stays at a time.
 
 For m event times, G surface-grid points and S states the pass costs
 O(m G S^3 + (#stays + #jumps) G S) arithmetic, linear in n, and needs
 O(n G S + m S^2) extra memory plus the block budget ``_BLOCK_BYTES``,
-spent once on a block's steps and once on a round.
+spent once on a block's steps and once on a slice of its terms.
 :func:`influence_zeta` and :func:`influence_gamma` compute one subject
 literally; they are the test oracles for the vectorised forms.
 """
@@ -69,7 +71,7 @@ from .kernels import WeightVector
 from .stepfun import StepCurve
 
 # Bytes of working memory for one block of the occupation-influence pass,
-# and again for one round of its additions (see gamma_values).
+# and again for one slice of its additions or one chunk of zeta_values'.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -280,84 +282,37 @@ def zeta_values(
 
     # Each stay in state j contributes, in the subject's time order, its
     # own j->k jump (when it ends in one) and then the compensator over
-    # the stay; one ordered add keeps the per-subject summation order.
+    # the stay. A chunk of stays, in table order, holds two terms a stay,
+    # each a row of values, its kept copy and its indices into out.
     tab = sample.table
-    stay = tab.soj_state == j
-    entry = tab.soj_entry[stay][:, None]
-    leave = tab.soj_exit[stay][:, None]
-    steps = np.empty((entry.shape[0], 2, idx_g.size))
-    steps[:, 0] = np.where(idx_g >= leave, 1.0 / denom[leave], 0.0)
-    steps[:, 1] = -(
-        cum_at(cum_c2, np.minimum(leave, idx_g)) - cum_at(cum_c2, np.minimum(entry, idx_g))
-    )
-    own = tab.soj_next[stay] == k
-    keep = np.column_stack([own, np.ones_like(own)])
-    np.add.at(out, np.repeat(tab.soj_subj[stay], 2)[keep.ravel()], steps[keep])
-    return np.sqrt(phi) * out
+    stays = np.flatnonzero(tab.soj_state == j)
+    per_chunk = max(1, _BLOCK_BYTES // (48 * max(idx_g.size, 1)))
+    for lo in range(0, stays.size, per_chunk):
+        stay = stays[lo : lo + per_chunk]
+        entry = tab.soj_entry[stay][:, None]
+        leave = tab.soj_exit[stay][:, None]
+        steps = np.empty((stay.size, 2, idx_g.size))
+        steps[:, 0] = np.where(idx_g >= leave, 1.0 / denom[leave], 0.0)
+        steps[:, 1] = -(
+            cum_at(cum_c2, np.minimum(leave, idx_g)) - cum_at(cum_c2, np.minimum(entry, idx_g))
+        )
+        keep = np.column_stack([tab.soj_next[stay] == k, np.ones(stay.size, dtype=bool)])
+        _ordered_add(out, np.repeat(tab.soj_subj[stay], 2)[keep.ravel()], 0, steps[keep])
+    out *= np.sqrt(phi)
+    return out
 
 
-def _chunks(step, is_jump, subj, n, m, per_block, per_chunk):
-    """Lay out the additions of the backward pass by block, chunk, rank and subject.
+def _ordered_add(out: np.ndarray, rows: np.ndarray, start: int, vals: np.ndarray) -> None:
+    """``out[rows[i], start:] += vals[i]`` for each ``i`` in turn; ``out`` is C-contiguous.
 
-    Each addition into a subject's row is one term at grid step ``step``.
-    The pass walks the steps in blocks of ``per_block`` from the top, and
-    every subject must receive its terms in loop order: step descending,
-    a step's stay boundaries before its own jumps, each kind in table
-    order. A term's rank is its place in that order among its subject's
-    terms of the block. A block's subjects, most terms first, are cut
-    into chunks of about ``per_chunk`` rows, a row for each subject and
-    each term. A chunk lays out its terms by rank, then subject, so the
-    subjects with an r-th term lead the chunk and rank r adds to a
-    leading slice of its subjects' rows. Terms at step ``m`` add nothing
-    and are dropped.
-
-    Returns the kept term indices in layout order, the chunks' subjects
-    in order, and for each block its chunks as ``(lo, hi, edges)``: the
-    chunk's subjects are ``[lo, hi)`` of that array, and ``edges`` bound
-    its ranks' runs of terms, from its first term to its last.
+    ``np.add.at`` adds unbuffered, in the order of its index, so a row
+    that ``rows`` repeats receives its terms in the order of ``i``. Over
+    one-dimensional operands it takes numpy's fast path, which costs a
+    fraction of a row-wise call.
     """
-    keep = np.flatnonzero(step < m)
-    # the terms by (block, subject) pair, in loop order within a pair
-    pair = (m - 1 - step[keep]) // per_block * n + subj[keep]
-    by_pair = np.argsort(pair * (2 * m + 2) + (m - step[keep]) * 2 + is_jump[keep], kind="stable")
-    terms, pair = keep[by_pair], pair[by_pair]
-    first = np.flatnonzero(_fresh(pair))
-    count = np.diff(first, append=pair.size)
-    which = np.repeat(np.arange(first.size), count)
-    rank = np.arange(pair.size) - first[which]
-    # the pairs in chunk order, by block and then most terms first, and
-    # the chunks, of about per_chunk rows: a row of out and one per term
-    most = int(count.max(initial=0))
-    p_block = pair[first] // n
-    by_count = np.argsort(p_block * (most + 1) + most - count, kind="stable")
-    p_block, rows = p_block[by_count], count[by_count] + 1
-    before = np.cumsum(rows) - rows
-    local = (before - before[np.searchsorted(p_block, p_block)]) // per_chunk
-    fresh = _fresh(p_block, local)
-    place = np.empty_like(by_count)
-    place[by_count] = np.arange(by_count.size)
-    t_place = place[which]
-    t_chunk = (np.cumsum(fresh) - 1)[t_place]
-    # the layout: by chunk, then rank, then pair; edges start each rank's run
-    lay = np.argsort((t_chunk * most + rank) * by_count.size + t_place)
-    t_chunk, rank = t_chunk[lay], rank[lay]
-    edges = np.flatnonzero(_fresh(t_chunk, rank)).tolist() + [lay.size]
-    starts = np.flatnonzero(fresh)
-    firsts = np.searchsorted(edges, np.searchsorted(t_chunk, np.arange(starts.size + 1)))
-    s_bounds = np.append(starts, by_count.size).tolist()
-    by_block = [[] for _ in range((m - 1) // per_block + 1)]
-    for c, b in enumerate(p_block[starts].tolist()):
-        by_block[b].append((s_bounds[c], s_bounds[c + 1], edges[firsts[c] : firsts[c + 1] + 1]))
-    return terms[lay], (pair[first] % n)[by_count], by_block
-
-
-def _fresh(*keys: np.ndarray) -> np.ndarray:
-    """Where any of equal-length keys differs from its previous entry; True at 0."""
-    fresh = np.zeros(keys[0].size, dtype=bool)
-    fresh[:1] = True
-    for key in keys:
-        fresh[1:] |= key[1:] != key[:-1]
-    return fresh
+    width = out.shape[1]
+    index = rows[:, None] * width + np.arange(start, width)
+    np.add.at(out.reshape(-1), index.ravel(), vals.ravel())
 
 
 def gamma_values(
@@ -397,43 +352,44 @@ def gamma_values(
     left = np.concatenate([p_left[:, :, None] * at_risk, p_left[:, None, :] @ common], axis=1)
 
     # A block of steps holds its carries, their live copies and its
-    # partial sums, 3S + 1 cells of G x S floats a step; a chunk holds
-    # its subjects' rows of out and their terms, a cell each.
+    # partial sums, 3S + 1 cells of G x S floats a step; a slice of its
+    # terms holds their values, a row they subtract and their indices into
+    # out, three cells a term.
     cell = eval_times.size * size * 8
     per_block = max(1, _BLOCK_BYTES // (cell * (3 * size + 1)))
-    per_chunk = max(1, _BLOCK_BYTES // cell)
+    per_slice = max(1, _BLOCK_BYTES // (3 * cell))
 
     # A stay in j over grid indices (entry, exit] adds acc[j] at step
     # entry + 1 and subtracts it at exit + 1, where acc[j] sums left rows
     # carried to the surface grid from the current index onwards. An own
-    # jump adds its coefficient times carry[dst] - carry[src].
+    # jump adds its coefficient times carry[dst] - carry[src]. The terms
+    # go in loop order: step descending, then a step's stays before its
+    # jumps, each in table order. Terms at step m add nothing.
     tab = sample.table
     n_stays = tab.soj_subj.size
     step = np.concatenate([tab.soj_entry + 1, tab.soj_exit + 1, tab.pos])
     is_jump = np.arange(step.size) >= 2 * n_stays
-    subj = np.concatenate([tab.soj_subj, tab.soj_subj, tab.subj])
-    order, rows_subj, by_block = _chunks(step, is_jump, subj, n, m, per_block, per_chunk)
+    order = np.argsort((m - step) * 2 + is_jump, kind="stable")
+    order = order[step[order] < m]
     step, is_jump = step[order], is_jump[order]
+    subj = np.concatenate([tab.soj_subj, tab.soj_subj, tab.subj])[order]
     src = np.concatenate([tab.soj_state, tab.soj_state, tab.src])[order]
     dst = np.concatenate([tab.soj_state, tab.soj_state, tab.dst])[order]
     weight = np.where(order < n_stays, 1.0, -1.0)
     at = (step[is_jump], src[is_jump])
     weight[is_jump] = p_left[at] / denom[at]
-    # the term's slot in its block: carries[row] for a jump, part[row] for a stay
+    # the rows a term reads, in its block's buffer: carries[k] for a jump
+    # at the block's k-th step from the top, then a zero row, then part[r]
+    # for a stay after the block's r-th live step; a term is read - less
     live = left.any(axis=(1, 2))
     live_from = np.append(np.cumsum(live[::-1])[::-1], 0)  # live steps at index >= i
     back = m - 1 - step
     top = m - back // per_block * per_block  # the end of the term's block
     row = np.where(is_jump, back % per_block, live_from[step] - live_from[top])
-    # the jumps and the stays apart, each in layout order, with the rows of
-    # carries (S a step) and of part (S + 1 a step) that they read
-    jumps_before = np.append(0, np.cumsum(is_jump)).tolist()
-    j_at = np.flatnonzero(is_jump)
-    j_dst, j_src = (row[j_at] * size + x[j_at] for x in (dst, src))
-    j_weight = weight[j_at, None]
-    s_at = np.flatnonzero(~is_jump)
-    s_row = row[s_at] * (size + 1) + src[s_at]
-    s_weight = weight[s_at, None]
+    zero = per_block * size
+    read = np.where(is_jump, row * size + dst, zero + 1 + row * (size + 1) + src)
+    less = np.where(is_jump, row * size + src, zero)
+    firsts = np.searchsorted(back, np.arange(0, m + per_block, per_block)).tolist()
 
     # Points with the same grid index get the same values, so the pass
     # runs over the distinct indices, ascending: point u starts at step
@@ -442,7 +398,7 @@ def gamma_values(
     # (j, c) of the product of (I + dA_l) over l in (i, ends[u]]; its row j
     # holds every point's row j, as part, acc and out hold theirs, so a
     # term is one row slice. The products still run point by point, on
-    # (S, S) matrices whose rows lie G*S apart.
+    # (S, S) matrices whose rows lie (G - f) * S apart.
     idx_g = np.searchsorted(grid, eval_times, side="right") - 1
     ends, point = np.unique(idx_g, return_inverse=True)
     begins = {i: u for u, i in enumerate(ends.tolist()) if i >= 0}
@@ -451,56 +407,44 @@ def gamma_values(
     moves = d_haz.any(axis=(1, 2)).tolist() + [False]
     width = ends.size * size
     carry = np.zeros((size, ends.size, size))
-    carries = np.zeros((per_block, *carry.shape))
-    by_point = carries.transpose(0, 2, 1, 3)  # carries[k] as G (S, S) matrices
-    flat = carries.reshape(per_block * size, width)
     acc = np.zeros((size + 1, width))
     out = np.zeros((n, width))
     for b, hi in enumerate(range(m, 0, -per_block)):
         lo = max(hi - per_block, 0)
         f = int(np.searchsorted(ends, lo))
-        cols = slice(f * size, width)
-        # carries[k]: the carry at step hi - 1 - k, zero before point f
+        if f == ends.size:  # no point has started: every carry stays zero
+            continue
+        start = f * size
+        live_k = np.flatnonzero(live[lo:hi][::-1])
+        reads = np.empty((zero + 1 + (live_k.size + 1) * (size + 1), width - start))
+        # carries[k]: the carry at step hi - 1 - k, from point f on
+        carries = reads[:zero].reshape(per_block, size, ends.size - f, size)
+        by_point = carries.transpose(0, 2, 1, 3)  # carries[k] as (S, S) matrices
         now = carry.transpose(1, 0, 2)[f:]
         for k, i in enumerate(range(hi - 1, lo - 1, -1)):
-            now, before = by_point[k, f:], now
+            now, before = by_point[k], now
             if moves[i + 1]:
                 np.matmul(moved[i + 1], before, out=now)
             else:
                 now[...] = before
             if i in begins:
                 now[begins[i] - f] = eye
-        carry = carries[k].copy()  # the next block overwrites carries
+        carry[:, f:] = carries[k]
+        reads[zero] = 0.0
         # part[r]: acc after the block's first r live steps, from the running acc
-        live_k = np.flatnonzero(live[lo:hi][::-1])
-        part = np.empty((live_k.size + 1, size + 1, width - cols.start))
-        part[0] = acc[:, cols]
+        part = reads[zero + 1 :].reshape(live_k.size + 1, size + 1, width - start)
+        part[0] = acc[:, start:]
         terms = part[1:].reshape(live_k.size, size + 1, ends.size - f, size)
         lefts = left[hi - 1 - live_k][:, None]
-        np.matmul(lefts, by_point[live_k, f:], out=terms.transpose(0, 2, 1, 3))
+        np.matmul(lefts, by_point[live_k], out=terms.transpose(0, 2, 1, 3))
         np.cumsum(part, axis=0, out=part)
-        acc[:, cols] = part[-1]
-        part_rows = part.reshape(-1, part.shape[2])
-        # a chunk gathers its terms in layout order, then rank r adds to
-        # the rows of the chunk's first q - p subjects
-        for s_lo, s_hi, edges in by_block[b]:
-            a, z = edges[0], edges[-1]
-            rows = out[rows_subj[s_lo:s_hi], cols]
-            vals = np.empty((z - a, rows.shape[1]))
-            t = slice(jumps_before[a], jumps_before[z])
-            if t.start < t.stop:
-                jumps = flat[j_dst[t], cols]
-                jumps -= flat[j_src[t], cols]
-                jumps *= j_weight[t]
-                vals[j_at[t] - a] = jumps
-            t = slice(a - jumps_before[a], z - jumps_before[z])
-            if t.start < t.stop:
-                stays = part_rows[s_row[t]]
-                stays *= s_weight[t]
-                vals[s_at[t] - a] = stays
-            for p, q in zip(edges, edges[1:]):
-                rows[: q - p] += vals[p - a : q - a]
-            out[rows_subj[s_lo:s_hi], cols] = rows
+        acc[:, start:] = part[-1]
+        for p in range(firsts[b], firsts[b + 1], per_slice):
+            t = slice(p, min(p + per_slice, firsts[b + 1]))
+            vals = reads[read[t]]
+            vals -= reads[less[t]]
+            vals *= weight[t, None]
+            _ordered_add(out, subj[t], start, vals)
     out += acc[size]
     out *= np.sqrt(phi)
     out = out.reshape(n, ends.size, size)

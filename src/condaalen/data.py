@@ -244,10 +244,7 @@ class _Columns:
         opens[1:] = self.subj[1:] != self.subj[:-1]
         since, before = np.roll(self.time, 1), np.roll(self.state, 1)
         since[opens], before[opens] = 0.0, self.init[self.subj[opens]]
-        count = np.bincount(self.subj, minlength=len(self.init))
-        last = (np.cumsum(count) - 1)[count > 0]
-        final, last_time = self.init.copy(), np.full_like(self.end_time, math.nan)
-        final[count > 0], last_time[count > 0] = self.state[last], self.time[last]
+        _, final, last_time = self.last_jumps()
         return {
             "covariate": ~np.isfinite(self.covariates).all(axis=1),
             "end time": ~((0.0 < self.end_time) & (self.end_time < math.inf)),
@@ -261,6 +258,15 @@ class _Columns:
             "absorbed in": ~self.censored & ~absorbing[final],
             "absorbed at": ~self.censored & (last_time != self.end_time),
         }
+
+    def last_jumps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per subject: its recorded jump count, final state and last jump time (NaN if none)."""
+        count = np.bincount(self.subj, minlength=len(self.init))
+        has = count > 0
+        last = (np.cumsum(count) - 1)[has]
+        final, last_time = self.init.copy(), np.full_like(self.end_time, math.nan)
+        final[has], last_time[has] = self.state[last], self.time[last]
+        return count, final, last_time
 
     def paths(self, states) -> tuple[ObservedPath, ...]:
         labels = np.array(states, dtype=object)
@@ -699,15 +705,8 @@ def write_sample(sample: Sample, path) -> None:
     """
     cols = sample._columns
     n = len(cols.init)
-    count = np.bincount(cols.subj, minlength=n)
+    count, final, last_time = cols.last_jumps()
     jump_start = np.cumsum(count) - count  # each subject's first jump row in ``cols``
-    # each subject's last recorded jump: its time (NaN if none) and state
-    has = count > 0
-    final_jump = (jump_start + count - 1)[has]
-    last_time = np.full(n, math.nan)
-    last_time[has] = cols.time[final_jump]
-    final = cols.init.copy()
-    final[has] = cols.state[final_jump]
     marker = cols.censored & (last_time != cols.end_time)
 
     per_subject = 1 + count + marker

@@ -342,11 +342,14 @@ def test_simulate_refuses_integer_power_tower(tmp_path):
     assert not out.exists()
 
 
-# as _MAIN, in a child that first bounds its own address space to 400 MB:
-# numpy loads, but the surfaces of a 3000-point grid at n = 2000 do not fit
-_MAIN_IN_400_MB = (
-    "import resource; resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20)); " + _MAIN
-)
+def _main_within(megabytes):
+    """_MAIN, in a child that first bounds its own address space."""
+    limit = f"({megabytes} << 20, {megabytes} << 20)"
+    return f"import resource; resource.setrlimit(resource.RLIMIT_AS, {limit}); " + _MAIN
+
+
+# numpy loads in 400 MB, but the surfaces of a 3000-point grid at n = 2000 do not fit
+_MAIN_IN_400_MB = _main_within(400)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
@@ -367,6 +370,49 @@ def test_covariance_out_of_memory_exits_1_without_a_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert errors == ["error: covariance --grid 3000: out of memory"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
+@pytest.mark.parametrize("megabytes", [370, 390])
+def test_covariance_out_of_memory_in_the_gram_product_prints_one_error_line(tmp_path, megabytes):
+    # At this x one censored subject without jumps holds all the weight, so
+    # no hazard pair is written and the first large product is _gram's. In
+    # these limits OpenBLAS failed to map its buffer there and exited the
+    # process with its own message.
+    sc = default_scenario(n=2000, seed=3)
+    sample = tmp_path / "sample.csv"
+    write_sample(simulate_sample(sc["intensity"], sc["censoring"], 2000, 3), sample)
+    argv = ["covariance", "--input", str(sample), "--x", "0.3006256189595923"]
+    argv += ["--bandwidth", "1e-5", "--grid", "1500", "--out", str(tmp_path / "out")]
+    package = str(Path(condaalen.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _main_within(megabytes), package, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    lines = [line for line in proc.stderr.splitlines() if not line.startswith("warning: ")]
+    if proc.returncode == 0:
+        assert lines == []
+    else:
+        assert proc.returncode == 1
+        assert lines == ["error: covariance --grid 1500: out of memory"]
+
+
+def test_covariance_at_one_surface_point(tmp_path):
+    # the point is the first event time, so no point starts in the
+    # occupation pass's blocks of late steps
+    sc = default_scenario(n=1000, seed=1)
+    sample = tmp_path / "sample.csv"
+    write_sample(simulate_sample(sc["intensity"], sc["censoring"], 1000, 1), sample)
+    out = tmp_path / "out"
+    argv = ["covariance", "--input", str(sample), "--x", "0.5", "--grid", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(json.loads((out / "cov_meta_0.json").read_text())["grid"]) == 1
+    for s in (1, 2, 3):
+        with open(out / f"cov_occupation_{s}_0.csv", newline="") as handle:
+            assert len(list(csv.DictReader(handle))) == 1
 
 
 def test_fit_writes_expected_files(workspace):

@@ -17,6 +17,7 @@ from condaalen.covariance import (
 from condaalen.data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace
 from condaalen.estimators import HazardEstimate, OccupationEstimate, fit
 from condaalen.kernels import WeightVector
+from condaalen.simulate import default_scenario, simulate_sample
 from condaalen.stepfun import StepCurve, StepMatrix
 
 
@@ -280,6 +281,16 @@ def test_empty_surface_grid_gives_empty_surfaces(sim_sample, make_grid):
         assert surf.grid.shape == (0,) and surf.values.shape == (0, 0)
     surf = hazard_covariance(sim_sample, r.weights, r.hazard, r.phi, (1, 2), grid)
     assert surf.grid.shape == (0,) and surf.values.shape == (0, 0)
+
+
+def test_occupation_surface_before_every_event_time():
+    # no surface point starts in the occupation pass's blocks of late steps
+    sc = default_scenario(n=100, seed=1)
+    sample = simulate_sample(sc["intensity"], sc["censoring"], 100, 1)
+    r = fit(sample, (0.5,))
+    occ = occupation_covariance(sample, r.weights, r.hazard, r.occupation, r.phi, [0.0])
+    for surf in occ.values():
+        np.testing.assert_array_equal(surf.values, [[0.0]])
 
 
 @pytest.mark.parametrize("grid,shape", [([[0.5, 1.0]], "(1, 2)"), (0.5, "()")])

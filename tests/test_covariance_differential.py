@@ -1,19 +1,23 @@
-"""The blocked occupation-influence pass against the per-step pass, bit for bit.
+"""The covariance passes against the literal passes they replaced, bit for bit.
 
 ``covariance.gamma_values`` runs the carry recursion step by step but
-gathers and adds its terms a block of steps at a time. The per-step pass
-it replaced is kept here as the oracle. Both must give the same bits for
-every subject, so each subject has to receive the same additions in the
-same order. The block budget is also shrunk to one step, two steps and
-one subject per chunk, so that block and chunk edges fall everywhere.
+gathers and adds its terms a block of steps at a time.
+``covariance.zeta_values`` adds its stay terms a chunk of stays at a
+time. The per-step occupation pass and the one-shot hazard pass they
+replaced are kept here as the oracles. Each pair must give the same
+bits for every subject, so each subject has to receive the same
+additions in the same order. The budget is also shrunk to one step, two
+steps and one term a slice, and to one stay a chunk, so that block,
+slice and chunk edges fall everywhere.
 
-Both passes make one product per surface point, of the same shapes. The
-oracle's matrices are contiguous, while ``gamma_values`` stores a step's
-carries state row first, so the rows of a point's matrix lie G*S apart.
-That needs the host's BLAS to give a product the same bits whatever the
-row stride of its operands; the first two tests check that directly.
-The five-state samples below make the carry products sums of more than
-two nonzero terms, which three-state samples rarely do.
+Both occupation passes make one product per surface point, of the same
+shapes. The oracle's matrices are contiguous, while ``gamma_values``
+stores a step's carries state row first, so the rows of a point's matrix
+lie (G - f) * S apart. That needs the host's BLAS to give a product the
+same bits whatever the row stride of its operands; the first two tests
+check that directly. The five-state samples below make the carry
+products sums of more than two nonzero terms, which three-state samples
+rarely do.
 """
 
 from unittest import mock
@@ -25,7 +29,7 @@ from hypothesis import strategies as st
 from test_differential import TICK, fits
 
 from condaalen import covariance
-from condaalen.covariance import default_surface_grid, gamma_values
+from condaalen.covariance import default_surface_grid, gamma_values, zeta_values
 from condaalen.data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace
 from condaalen.estimators import _generator, fit
 from condaalen.simulate import default_scenario, simulate_sample
@@ -161,7 +165,7 @@ def _same_bits(a, b):
 
 
 def _budgets(grid_size, size):
-    """Block budgets that hold one step, two steps, and one subject a chunk.
+    """Block budgets that hold one step, two steps, and one term a slice.
 
     A step takes 3S + 1 cells of G x S floats in ``gamma_values``.
     """
@@ -186,8 +190,9 @@ def test_gamma_values_matches_stepwise_pass(case):
     times = r.hazard.times
     base = np.concatenate([[0.0], times, times + TICK / 2])
     outside = np.array([-1.0, times[0] / 2, times[-1] + TICK, np.inf])
+    early = np.array([-1.0, 0.0, times[0]])  # no point starts in the blocks of late steps
     size = len(r.hazard.states)
-    for grid in (base, base[::-1], np.concatenate([base, base[::2]]), outside):
+    for grid in (base, base[::-1], np.concatenate([base, base[::2]]), outside, early):
         _assert_blocked_matches_stepwise(sample, r, grid, _budgets(grid.size, size))
 
 
@@ -239,3 +244,76 @@ def test_gamma_values_matches_stepwise_pass_with_five_states(seed):
     times = r.hazard.times
     grid = np.concatenate([[0.0], times, times + TICK / 2])
     _assert_blocked_matches_stepwise(sample, r, grid, _budgets(grid.size, 5))
+
+
+def _one_shot_zeta_values(sample, hazard, phi, pair, eval_times):
+    """The hazard pass with every stay term in one (stays, 2, G) array and one ordered add."""
+    grid = hazard.times
+    j, k = covariance._pair_index(hazard.states, pair)
+    eval_times = np.asarray(eval_times, dtype=float)
+    n, m = len(sample), len(grid)
+
+    expo_left = hazard.exposure_left()[:, j]
+    denom = np.maximum(expo_left, hazard.epsilon)
+    above = expo_left > hazard.epsilon
+
+    d_counts = hazard.counts.increments()[:, j, k]
+    d_haz = hazard.hazard.increments()[:, j, k]
+
+    cum_b1 = np.cumsum(d_counts / denom)
+    c2 = np.zeros(m)
+    np.divide(d_haz, expo_left, out=c2, where=above)
+    cum_c2 = np.cumsum(c2)
+    cum_s2 = np.cumsum(np.where(above, d_haz, 0.0))
+
+    idx_g = np.searchsorted(grid, eval_times, side="right") - 1
+
+    def cum_at(cum, idx):
+        return np.where(idx >= 0, cum[np.maximum(idx, 0)], 0.0)
+
+    base = -cum_at(cum_b1, idx_g) + cum_at(cum_s2, idx_g)
+    out = np.tile(base, (n, 1))
+
+    tab = sample.table
+    stay = tab.soj_state == j
+    entry = tab.soj_entry[stay][:, None]
+    leave = tab.soj_exit[stay][:, None]
+    steps = np.empty((entry.shape[0], 2, idx_g.size))
+    steps[:, 0] = np.where(idx_g >= leave, 1.0 / denom[leave], 0.0)
+    steps[:, 1] = -(
+        cum_at(cum_c2, np.minimum(leave, idx_g)) - cum_at(cum_c2, np.minimum(entry, idx_g))
+    )
+    own = tab.soj_next[stay] == k
+    keep = np.column_stack([own, np.ones_like(own)])
+    np.add.at(out, np.repeat(tab.soj_subj[stay], 2)[keep.ravel()], steps[keep])
+    return np.sqrt(phi) * out
+
+
+def _assert_chunked_zeta_matches_one_shot(sample, result, grid):
+    states = result.hazard.states
+    for pair in [(a, b) for a in states for b in states if a != b]:
+        args = (sample, result.hazard, result.phi, pair, grid)
+        expect = _one_shot_zeta_values(*args)
+        assert _same_bits(zeta_values(*args), expect), pair
+        with mock.patch.object(covariance, "_BLOCK_BYTES", 1):  # one stay a chunk
+            assert _same_bits(zeta_values(*args), expect), pair
+
+
+@given(fits())
+@settings(max_examples=120, deadline=None)
+def test_zeta_values_matches_one_shot_pass(case):
+    sample, spec, x, bandwidth, epsilon = case
+    r = fit(sample, x, spec, explicit_bandwidth=bandwidth, epsilon=epsilon)
+    times = r.hazard.times
+    base = np.concatenate([[0.0], times, times + TICK / 2])
+    outside = np.array([-1.0, times[0] / 2, times[-1] + TICK, np.inf])
+    for grid in (base, base[::-1], np.concatenate([base, base[::2]]), outside):
+        _assert_chunked_zeta_matches_one_shot(sample, r, grid)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_zeta_values_matches_one_shot_pass_with_five_states(seed):
+    sample = _five_state_sample(200, seed)
+    r = fit(sample, (0.5,))
+    times = r.hazard.times
+    _assert_chunked_zeta_matches_one_shot(sample, r, np.concatenate([[0.0], times, times + TICK / 2]))
