@@ -35,6 +35,12 @@ Scenario files are JSON; rate expressions use a restricted arithmetic
 grammar over ``t``, ``duration``, and the covariates ``x1 .. xd`` (``x``
 aliases ``x1``). Each expression is checked against the grammar once and
 compiled to a Python function.
+
+Only :func:`markov_occupation_oracle` needs scipy (``expm`` and
+``solve_ivp``), and it imports them when first called. The samplers, the
+brute-force estimator and every module they import load numpy alone, so
+``import condaalen`` and the CLI's ``simulate``, ``fit`` and
+``covariance`` do not load scipy.
 """
 
 from __future__ import annotations
@@ -48,8 +54,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.integrate import solve_ivp
 
 from .data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace, _Columns
 from .estimators import HazardEstimate, OccupationEstimate
@@ -490,13 +494,22 @@ def markov_occupation_oracle(intensity: IntensitySpec, x, grid) -> np.ndarray:
     ``grid[i]``, column ``a`` the state ``intensity.state_space.states[a]``.
     Solves the forward equation ``p' = p Q(t)``; a time-constant
     generator is handled exactly through the matrix exponential, the
-    general case with an adaptive fourth-order integrator.
+    general case with an adaptive fourth-order integrator. These come
+    from scipy, which this function imports on its first call: the rest
+    of the package needs numpy alone.
     """
     if intensity.kind != MARKOV:
         raise ValueError("oracle requires a markov intensity")
     grid = np.asarray(grid, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(grid))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"grid point {i} must be a finite number, got {float(grid.flat[i])!r}")
     if grid.size == 0 or grid[0] < 0 or np.any(np.diff(grid) < 0):
         raise ValueError("grid must be nondecreasing and nonnegative")
+    from scipy.integrate import solve_ivp
+    from scipy.linalg import expm
+
     x = tuple(float(v) for v in np.atleast_1d(x))
     space = intensity.state_space
     states = space.states

@@ -373,12 +373,15 @@ def test_covariance_out_of_memory_exits_1_without_a_traceback(tmp_path):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
-@pytest.mark.parametrize("megabytes", [370, 390])
+@pytest.mark.parametrize("megabytes", [200, 250, 370, 390])
 def test_covariance_out_of_memory_in_the_gram_product_prints_one_error_line(tmp_path, megabytes):
     # At this x one censored subject without jumps holds all the weight, so
-    # no hazard pair is written and the first large product is _gram's. In
-    # these limits OpenBLAS failed to map its buffer there and exited the
-    # process with its own message.
+    # no hazard pair is written and the first large product is _gram's. Each
+    # limit once ended another way: 370 and 390 MB in OpenBLAS's own exit
+    # message at _gram, before the CLI mapped its buffer early; 200 MB in a
+    # MemoryError traceback while condaalen imported scipy, and 250 MB in the
+    # exit message of scipy's OpenBLAS. Without scipy, 370 and 390 MB run
+    # to the end.
     sc = default_scenario(n=2000, seed=3)
     sample = tmp_path / "sample.csv"
     write_sample(simulate_sample(sc["intensity"], sc["censoring"], 2000, 3), sample)

@@ -236,6 +236,18 @@ def test_oracle_input_validation():
         markov_occupation_oracle(mk["intensity"], (0.5,), [1.0, 0.5])
 
 
+@pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 1])
+def test_oracle_refuses_non_finite_grid_points(point, at):
+    # every comparison with nan is false, so the order check alone would
+    # pass [0, nan] and return a row of nan
+    grid = [0.0, 1.0]
+    grid[at] = point
+    mk = load_scenario(_scenario_dict())
+    with pytest.raises(ValueError, match=f"^grid point {at} must be a finite number, got "):
+        markov_occupation_oracle(mk["intensity"], (0.5,), grid)
+
+
 def test_zero_rate_windows_advance_thinning():
     raw = _scenario_dict(rates={"1->2": "0 * t"})
     sc = load_scenario(raw)
