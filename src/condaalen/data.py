@@ -10,20 +10,23 @@ subject and per recorded jump), from which its :class:`EventTable` is
 built. A sample built from paths flattens them on first use of its
 table or by :func:`write_sample`. A sample read by :func:`load_sample`
 is parsed straight into columns and builds its table at once, and one
-drawn by ``simulate_sample`` is made from the columns of its draws and
-builds its table on first use; both build their paths only when asked.
+drawn by ``simulate_sample`` streams its draws into columns and builds
+its table on first use; both build their paths only when asked.
 
-Every sample obeys the same path rules, whatever made it: columns made
-from paths or draws are checked as they are made (:meth:`_Columns.of`).
+Every sample obeys the same path rules, whatever made it: paths and
+draws share one intake (:meth:`_Columns.of`), which checks the columns
+it makes.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -35,6 +38,8 @@ _BLOCK_ROWS = 4096
 # the ``end`` cell of a row, stripped: "" and "0"/"1"; anything else is 3
 _FLAG_CODES = {"": 0, "0": 1, "1": 2}
 _FLAG_TEXT = np.array(["", "0", "1"], dtype=object)
+# the ``array.array`` typecode of ``np.intp``, so index buffers read as ``np.intp``
+_INDEX = np.dtype(np.intp).char
 
 
 class ParseError(ValueError):
@@ -162,8 +167,9 @@ class Sample:
 
     @cached_property
     def _columns(self) -> _Columns:
-        subjects = [tuple(vars(p).values()) for p in self.paths]
-        return _Columns.of(subjects, self.state_space, self.covariate_dim)
+        fields = attrgetter("covariates", "initial_state", "jumps", "end_time", "end_reason")
+        subjects = map(fields, self.paths)
+        return _Columns.of(subjects, self.state_space, self.covariate_dim, self.paths.__getitem__)
 
     @cached_property
     def table(self) -> EventTable:
@@ -190,34 +196,48 @@ class _Columns:
     state: np.ndarray
 
     @classmethod
-    def of(cls, subjects, space: StateSpace, dim: int) -> _Columns:
-        """Columns of ``subjects``, each a tuple of an :class:`ObservedPath`'s fields.
+    def of(cls, subjects, space: StateSpace, dim: int, path) -> _Columns:
+        """Columns of ``subjects``, an iterable of tuples of an :class:`ObservedPath`'s fields.
 
-        They are checked against the path rules: a broken one raises
+        ``subjects`` is read once, each subject's fields appended to typed
+        buffers that become the columns without a copy; no subject is kept.
+        The columns are checked against the path rules: a broken one raises
         ``ValidationError``, naming the first subject that breaks a rule by
-        its index, and the first rule it breaks.
+        its index, and the first rule it breaks. ``path(s)`` gives subject
+        ``s`` as an :class:`ObservedPath` for the message.
         """
         index = {s: i for i, s in enumerate(space.states)}
-        covariates, init, jumps, end_time, reason = zip(*subjects) if subjects else [()] * 5
-        flat = list(chain.from_iterable(jumps))
-        times, labels = zip(*flat) if flat else ((), ())
+        covariates, time, end_time = array("d"), array("d"), array("d")
+        init, count, state = array(_INDEX), array(_INDEX), array(_INDEX)
+        misfit, reason, ends = array("b"), array("b"), []  # reason: 0 censored, 1 absorbed, 2 other
+        for x, initial, jumps, end, why in subjects:
+            misfit.append(len(x) != dim)  # a row of the right size stands in for the array
+            covariates.extend((0.0,) * dim if misfit[-1] else x)
+            init.append(index.get(initial, -1))
+            count.append(len(jumps))
+            for t, label in jumps:
+                time.append(t)
+                state.append(index.get(label, -1))
+            reason.append(0 if why == CENSORED else 1 if why == ABSORBED else 2)
+            ends.append(end)
+            if len(ends) == _BLOCK_ROWS:  # converted as numpy converts them
+                end_time.frombytes(np.array(ends, float).tobytes())
+                ends.clear()
+        end_time.frombytes(np.array(ends, float).tobytes())
+        init, count, state = (np.frombuffer(a, np.intp) for a in (init, count, state))
+        misfit, reason = np.frombuffer(misfit, bool), np.frombuffer(reason, np.int8)
         n = len(init)
-        dims = np.fromiter(map(len, covariates), np.intp, n)
-        if (dims != dim).any():  # a row of the right size stands in for the array
-            covariates = [x if len(x) == dim else (0.0,) * dim for x in covariates]
-        reason = np.array(reason, dtype=object)
         columns = cls(
-            covariates=np.array(covariates, float).reshape(n, dim),
-            init=np.fromiter(map(index.get, init, repeat(-1)), np.intp, n),
-            end_time=np.array(end_time, dtype=float),
-            censored=reason == CENSORED,
-            subj=np.repeat(np.arange(n), np.fromiter(map(len, jumps), np.intp, n)),
-            time=np.array(times, dtype=float),
-            state=np.fromiter(map(index.get, labels, repeat(-1)), np.intp, len(labels)),
+            covariates=np.frombuffer(covariates, float).reshape(n, dim),
+            init=init,
+            end_time=np.frombuffer(end_time, float),
+            censored=reason == 0,
+            subj=np.repeat(np.arange(n), count),
+            time=np.frombuffer(time, float),
+            state=state,
         )
         absorbing = np.array([s in space.absorbing for s in space.states] + [False])
-        unknown = (reason != CENSORED) & (reason != ABSORBED)
-        broken = {**columns.broken(absorbing), "dimension": dims != dim, "reason": unknown}
+        broken = {**columns.broken(absorbing), "dimension": misfit, "reason": reason == 2}
         bad = np.logical_or.reduce([broken[rule] for rule in (*_SUBJECT_RULES, *_END_RULES)])
         bad[columns.subj[np.logical_or.reduce([broken[rule] for rule in _JUMP_RULES])]] = True
         if not bad.any():
@@ -225,13 +245,14 @@ class _Columns:
         # the first rule the first bad subject breaks: its own, each jump's, its end's
         s = int(np.flatnonzero(bad)[0])
         lo, hi = np.searchsorted(columns.subj, [s, s + 1]).tolist()
-        path = ObservedPath(*subjects[s])
+        path = path(s)
         steps = [(_SUBJECT_RULES, s), *((_JUMP_RULES, j) for j in range(lo, hi)), (_END_RULES, s)]
         rules, rule, at = next((g, r, at) for g, at in steps for r in g if broken[r][at])
         # a jump's earlier ones passed every rule: their times increase to its own
         t, label = path.jumps[at - lo] if rules is _JUMP_RULES else (math.nan, None)
         before = path.state_before(t)
-        message = rules[rule].format(p=path, dim=dim, length=dims[s], t=t, label=label, before=before)
+        length = len(path.covariates)
+        message = rules[rule].format(p=path, dim=dim, length=length, t=t, label=label, before=before)
         raise ValidationError(f"subject {s}: {message}")
 
     def broken(self, absorbing: np.ndarray) -> dict[str, np.ndarray]:
@@ -701,8 +722,11 @@ def write_sample(sample: Sample, path) -> None:
     carries the ``end`` flag. Lines end in CRLF, as ``csv.writer`` ends
     them; no cell needs quoting. The rows are built from the sample's
     columns and written in blocks of ``_BLOCK_ROWS``, each distinct float
-    formatted once.
+    formatted once. A sample with no subjects is refused with ``ValueError``,
+    since its file would hold no covariate column for :func:`load_sample`.
     """
+    if not len(sample):
+        raise ValueError("cannot write a sample with no subjects")
     cols = sample._columns
     n = len(cols.init)
     count, final, last_time = cols.last_jumps()

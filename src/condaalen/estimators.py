@@ -291,7 +291,7 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
             s: StepCurve(checked, exposure[i], float(initial[i])) for i, s in enumerate(states)
         },
         counts=StepMatrix(checked, counts),
-        floor_active={s: tuple(grid[below[i]]) for i, s in enumerate(states)},
+        floor_active={s: tuple(grid[below[i]].tolist()) for i, s in enumerate(states)},
         states=states,
     )
 

@@ -28,8 +28,8 @@ a change to numpy's seeding fails there. A jump target is drawn as
 ``Generator.choice(targets, p=p)`` draws it, bit for bit, with no array
 built per jump (:func:`_choose`), and a ``uniform`` law's value as
 ``Generator.uniform`` draws it (:func:`_uniform`). Both samplers run one
-per-subject routine; :func:`simulate_sample` appends its output to a
-list and builds no path object.
+per-subject routine; :func:`simulate_sample` streams its output into
+the sample's column buffers and builds no path object.
 
 Scenario files are JSON; rate expressions use a restricted arithmetic
 grammar over ``t``, ``duration``, and the covariates ``x1 .. xd`` (``x``
@@ -51,7 +51,8 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -460,16 +461,26 @@ def simulate_sample(
 
     Subject ``i`` is ``simulate_path(intensity, censoring, seed, i)``. The
     streams of a chunk of subjects are seeded in one pass and loaded, one
-    subject at a time, into two reused generators. Each subject's fields
-    go into a list, and the sample is made from their checked columns: it
+    subject at a time, into two reused generators. Each subject's fields go
+    into column buffers as it is drawn; none is kept, and a broken one is
+    drawn again by :func:`simulate_path` to be named. The checked sample
     builds its ``paths`` and its table only when they are first read.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    draws = _draws(intensity, censoring, n, seed)
+    first = next(draws)
+    space = intensity.state_space
+    path = partial(simulate_path, intensity, censoring, seed)  # names a broken subject
+    columns = _Columns.of(chain([first], draws), space, len(first[0]), path)
+    return Sample._from_columns(columns, space)
+
+
+def _draws(intensity: IntensitySpec, censoring, n: int, seed):
+    """Subjects ``0 .. n - 1`` of :func:`simulate_sample`, each drawn by :func:`_simulate_subject`."""
     key = _words(seed)
     jump, cens = np.random.PCG64(0), np.random.PCG64(0)
     rng_jump, rng_cens = np.random.Generator(jump), np.random.Generator(cens)
-    subjects = []
     for lo in range(0, n, _CHUNK):
         # rows key + [index, k]: an index below n fits one 32-bit word
         index = np.arange(lo, min(n, lo + _CHUNK), dtype=np.uint32)
@@ -481,10 +492,7 @@ def simulate_sample(
         for row_jump, row_cens in zip(states[::2], states[1::2]):
             _load(jump, row_jump)
             _load(cens, row_cens)
-            subjects.append(_simulate_subject(intensity, censoring, rng_jump, rng_cens))
-    space = intensity.state_space
-    columns = _Columns.of(subjects, space, len(subjects[0][0]))
-    return Sample._from_columns(columns, space)
+            yield _simulate_subject(intensity, censoring, rng_jump, rng_cens)
 
 
 def markov_occupation_oracle(intensity: IntensitySpec, x, grid) -> np.ndarray:

@@ -255,6 +255,28 @@ def test_validate_covariate_dim_mismatch():
         Sample((p, q), _space()).table  # noqa: B018
 
 
+def test_end_time_and_reason_are_read_as_numpy_reads_them():
+    # an end time converts as numpy converts it: None to NaN, which the end-time
+    # rule refuses, a numeric string to its number; a reason is tested by ==
+    ok = ObservedPath((0.1,), 1, (), 1.0, CENSORED)
+    none = ObservedPath((0.1,), 1, (), None, CENSORED)
+    with pytest.raises(ValidationError) as err:
+        Sample((ok, none), _space()).table  # noqa: B018
+    assert str(err.value) == "subject 1: end_time must be positive and finite, got None"
+    text = ObservedPath((0.1,), 1, ((0.5, 2),), "1.0", np.str_(CENSORED))
+    table = Sample((ok, text), _space()).table
+    assert table.end_time.tolist() == [1.0, 1.0]
+    assert table.censored.tolist() == [True, True]
+
+
+def test_write_sample_refuses_a_sample_with_no_subjects(tmp_path):
+    # its file would be a bare header, which load_sample refuses
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="^cannot write a sample with no subjects$"):
+        write_sample(Sample((), _space()), out)
+    assert not out.exists()
+
+
 def test_validate_names_subjects_by_label(tmp_path):
     # a hand-built sample names a subject by its index, the first one that breaks a rule
     p = ObservedPath((0.1,), 1, (), 1.0, CENSORED)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -551,7 +552,10 @@ def test_brute_force_matches_fast_path():
         np.testing.assert_allclose(
             r.hazard.exposure[s_].values, slow_h.exposure[s_].values, atol=1e-12
         )
-        assert r.hazard.floor_active[s_] == slow_h.floor_active[s_]
+        # the floor engages in every state here, at plain floats, not numpy scalars
+        times = r.hazard.floor_active[s_]
+        assert times and times == slow_h.floor_active[s_]
+        assert all(type(t) is float for t in times + slow_h.floor_active[s_])
 
 
 def test_brute_force_agrees_on_tied_times():
@@ -578,6 +582,26 @@ def test_brute_force_agrees_on_tied_times():
             r.hazard.exposure[s_].values, slow_h.exposure[s_].values, atol=1e-12
         )
         assert r.hazard.floor_active[s_] == slow_h.floor_active[s_]
+
+
+def test_simulate_sample_peak_memory_per_subject():
+    # subjects stream into the sample's column buffers, which peak at about
+    # 160 B a subject; a list of one tuple per subject peaked at 560 B
+    n = 10_000
+    sc = default_scenario()
+    # a small sample first, so one-off allocations are not counted per subject
+    simulate_sample(sc["intensity"], sc["censoring"], 100, 3)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        simulate_sample(sc["intensity"], sc["censoring"], n, 3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 300 * n, f"{peak / n:.0f} B a subject"
 
 
 def test_default_scenario_shape():
