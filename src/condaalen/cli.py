@@ -7,7 +7,8 @@ covariate points, ``covariance`` adds plug-in covariance surfaces, and
 CSV output uses 17 significant digits so every value round-trips
 exactly; runs with the same configuration and seed are byte-identical.
 
-The writers work from the result arrays. Step curves repeat their
+The writers work from each fit's :class:`_Views`, its quantities
+spread from their knots over the grid once. Step curves repeat their
 values, so each distinct float (by bit pattern) is formatted once, and
 lines are built from precomputed label strings. Files are written in
 blocks of about ``_BLOCK_VALUES`` values, which keeps memory flat in the
@@ -30,6 +31,7 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,14 +130,13 @@ def _load_and_fit(args) -> tuple[Sample, list[FitResult]]:
 
 def _warn_flags(result: FitResult, label: str) -> None:
     hazard = result.hazard
-    outflow = hazard.counts.increments().sum(axis=2)
     # the floor changed a hazard increment only where some weight left the state
-    changed = sorted(
-        (t, s)
-        for a, s in enumerate(hazard.states)
-        for t in hazard.floor_active[s]
-        if outflow[np.searchsorted(hazard.times, t), a] > 0.0
-    )
+    changed = []
+    for a, s in enumerate(hazard.states):
+        times = np.array(hazard.floor_active[s], dtype=float)
+        jump = hazard.counts.at(times)[:, a] - hazard.counts.left(times)[:, a]
+        changed += [(t, s) for t in times[jump.sum(axis=1) > 0.0].tolist()]
+    changed.sort()
     if changed:
         t, s = changed[0]
         print(
@@ -175,8 +176,24 @@ def _write_rows(handle, times, labels, values, keep=None) -> None:
         handle.write("".join(cells.ravel().tolist()))
 
 
-def _write_hazard_csv(result: FitResult, path: str, grid: np.ndarray) -> None:
-    """Write the hazard CSV; ``grid`` is the formatted event grid."""
+class _Views(NamedTuple):
+    """A fit's quantities on the event grid, each spread from its knots once."""
+
+    hazard: np.ndarray  # (m, S, S)
+    counts: np.ndarray  # (m, S, S)
+    exposure: np.ndarray  # (m, S), in state axis order
+    occupation: np.ndarray  # (m, S)
+
+    @classmethod
+    def of(cls, result: FitResult) -> _Views:
+        h = result.hazard
+        exposure = np.column_stack([h.exposure[s].values for s in h.states])
+        return cls(h.hazard.values, h.counts.values, exposure, result.occupation.values)
+
+
+def _write_hazard_csv(result: FitResult, path: str, grid: np.ndarray, views=None) -> None:
+    """Write the hazard CSV; ``grid`` is the formatted event grid, ``views`` the fit's."""
+    views = views or _Views.of(result)
     states = result.hazard.states
     off = ~np.eye(len(states), dtype=bool)  # the (j, k) pairs with j != k, row-major
     pairs = [f"{states[a]},{states[b]}" for a, b in zip(*np.nonzero(off))]
@@ -185,9 +202,8 @@ def _write_hazard_csv(result: FitResult, path: str, grid: np.ndarray) -> None:
         + [f",count,{pair}," for pair in pairs]
         + [f",exposure,{s},," for s in states]
     )
-    counts = result.hazard.counts.values[:, off]
-    exposure = np.column_stack([result.hazard.exposure[s].values for s in states])
-    values = np.hstack([result.hazard.hazard.values[:, off], counts, exposure])
+    counts = views.counts[:, off]
+    values = np.hstack([views.hazard[:, off], counts, views.exposure])
     # a count line is written only where the cumulative count is nonzero
     keep = np.ones(values.shape, dtype=bool)
     keep[:, len(pairs) : 2 * len(pairs)] = counts != 0.0
@@ -196,12 +212,13 @@ def _write_hazard_csv(result: FitResult, path: str, grid: np.ndarray) -> None:
         _write_rows(handle, grid, labels, values, keep)
 
 
-def _write_occupation_csv(result: FitResult, path: str, grid: np.ndarray) -> None:
-    """Write the occupation CSV; ``grid`` is the formatted event grid."""
+def _write_occupation_csv(result: FitResult, path: str, grid: np.ndarray, views=None) -> None:
+    """Write the occupation CSV; ``grid`` is the formatted event grid, ``views`` the fit's."""
     occupation = result.occupation
+    views = views or _Views.of(result)
     # the initial distribution is the row at time 0
     times = np.concatenate([[_fmt(0.0)], grid])
-    values = np.vstack([occupation.initial, occupation.values])
+    values = np.vstack([occupation.initial, views.occupation])
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write("time,j,value\r\n")
         _write_rows(handle, times, [f",{s}," for s in occupation.states], values)
@@ -266,11 +283,10 @@ def _write_json(body: dict, path: str) -> None:
     arrays.clear()
 
 
-def _fit_json(result: FitResult, n: int, grid: np.ndarray) -> dict:
-    """The ``fit`` JSON body; ``grid`` is the event grid's JSON text."""
+def _fit_json(result: FitResult, n: int, grid: np.ndarray, views=None) -> dict:
+    """The ``fit`` JSON body; ``grid`` is the event grid's JSON text, ``views`` the fit's."""
+    hazard, counts, exposure, occupation = views or _Views.of(result)
     states = result.hazard.states
-    hazard = result.hazard.hazard.values
-    counts = result.hazard.counts.values
     body = {
         "x": list(result.x),
         "atom_flags": list(result.spec.atom_flags(result.x)),
@@ -299,11 +315,13 @@ def _fit_json(result: FitResult, n: int, grid: np.ndarray) -> dict:
             if a != b:
                 body["hazard"][f"{sa}->{sb}"] = hazard[:, a, b]
                 body["counts"][f"{sa}->{sb}"] = counts[:, a, b]
-        curve = result.hazard.exposure[sa]
-        body["exposure"][str(sa)] = {"initial": float(curve.initial), "values": curve.values}
+        body["exposure"][str(sa)] = {
+            "initial": float(result.hazard.exposure[sa].initial),
+            "values": exposure[:, a],
+        }
         body["occupation"][str(sa)] = {
             "initial": float(result.occupation.initial[a]),
-            "values": result.occupation.values[:, a],
+            "values": occupation[:, a],
         }
     return body
 
@@ -326,10 +344,11 @@ def cmd_fit(args) -> int:
     grid = _format_distinct(sample.table.grid)
     grid_json = _format_distinct(sample.table.grid, _json_float) if args.json else None
     for i, result in enumerate(results):
-        _write_hazard_csv(result, os.path.join(args.out, f"hazard_{i}.csv"), grid)
-        _write_occupation_csv(result, os.path.join(args.out, f"occupation_{i}.csv"), grid)
+        views = _Views.of(result)
+        _write_hazard_csv(result, os.path.join(args.out, f"hazard_{i}.csv"), grid, views)
+        _write_occupation_csv(result, os.path.join(args.out, f"occupation_{i}.csv"), grid, views)
         if args.json:
-            body = _fit_json(result, len(sample), grid_json)
+            body = _fit_json(result, len(sample), grid_json, views)
             _write_json(body, os.path.join(args.out, f"fit_{i}.json"))
     return _EXIT_OK
 
@@ -353,7 +372,7 @@ def cmd_covariance(args) -> int:
     for i, result in enumerate(results):
         grid = default_surface_grid(result.hazard.times, args.grid)
         states = result.hazard.states
-        final_counts = result.hazard.counts.values[-1]
+        final_counts = result.hazard.counts.at(result.hazard.times[-1])
         pairs = []
         for a, sa in enumerate(states):
             for b, sb in enumerate(states):

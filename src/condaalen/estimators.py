@@ -30,6 +30,11 @@ pass over the whole ``(m, S, S)`` grid, which the tests keep as the
 reference. It records on the hazard's ``StepMatrix`` the rows where a
 subject of nonzero weight jumps; the hazard is constant between them,
 so ``aalen_johansen`` runs its recursion on those rows alone.
+
+Every fitted quantity is a step function held on its knots, the rows of
+those passes, with an int32 index from each grid row to its knot (see
+:mod:`~condaalen.stepfun`); ``values`` spreads them over the grid only
+when it is read.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .kernels import (
     nw_weights,
     phi_estimate,
 )
-from .stepfun import StepCurve, StepMatrix, _Checked
+from .stepfun import StepCurve, StepMatrix, _as_times, _Checked, _index_dtype, _Knots
 
 
 @dataclass(frozen=True)
@@ -94,23 +99,36 @@ class HazardEstimate:
         return np.vstack([self.initial_exposure(), vals])[:-1]
 
 
-@dataclass(frozen=True)
-class OccupationEstimate:
-    """Conditional state occupation probabilities on the event grid."""
+@dataclass(frozen=True, init=False, eq=False)
+class OccupationEstimate(_Knots):
+    """Conditional state occupation probabilities on the event grid.
+
+    ``values[i, a]`` is the probability of state ``states[a]`` on
+    ``[times[i], times[i+1])``; ``initial`` holds them on ``[0, times[0])``.
+    """
 
     times: np.ndarray
     values: np.ndarray
     initial: np.ndarray
     states: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "initial", np.asarray(self.initial, dtype=float))
+    def __init__(self, times, values, initial, states):
+        t = _as_times(times)
+        v = np.asarray(values, dtype=float)
+        initial = np.asarray(initial, dtype=float)
+        if v.shape != (t.size, len(states)):
+            raise ValueError("values must have shape (len(times), len(states))")
+        if initial.shape != (len(states),):
+            raise ValueError("initial must hold one value per state")
+        self._hold(t, v)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "states", states)
 
     def curve(self, state: int) -> StepCurve:
         idx = self.states.index(state)
-        return StepCurve(self.times, self.values[:, idx], float(self.initial[idx]))
+        return StepCurve.on_knots(
+            self.times, self._knots[:, idx], self._index, float(self.initial[idx])
+        )
 
     @property
     def curves(self) -> dict[int, StepCurve]:
@@ -188,8 +206,10 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
     contiguous memory. Column ``k`` holds the values after the ``k``-th
     live row; column 0, the prefix, holds those before the first one:
     counts 0.0, off-diagonal hazard 0.0, diagonal hazard -0.0 and
-    exposure ``initial``. Each grid row then takes the column of its rank
-    among the live rows, once per output array.
+    exposure ``initial``. These columns are the knots of the returned
+    step functions: each grid row reads the column of its rank among the
+    live rows, through one int32 index that the hazard, the counts and the
+    exposures share. Of the grid's length, the result holds only that index.
 
     The bits are those of the dense pass over every row and cell, which
     the tests keep as the reference. A skipped row or cell would only add
@@ -231,7 +251,7 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
     end = tab.end_pos[censored]
     live = np.zeros(m, dtype=bool)
     live[pos] = True
-    rows = np.flatnonzero(live).astype(np.int32 if m < 2**31 else np.intp)  # where the hazard moves
+    rows = np.flatnonzero(live).astype(_index_dtype(m))  # where the hazard moves
     live[end] = True
     rank = np.cumsum(live)  # each grid row's column: the live rows up to it
     width = 1 + int(rank[-1])
@@ -265,32 +285,32 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
     d_hazard = d_counts  # divided in place
     d_hazard /= np.maximum(expo[src, :-1], epsilon)
 
-    # a full-width row per column, then a row per grid time, taken by rank
+    # a full-width row per column: the knots, which each grid row reads by rank
     diag = np.arange(size) * (size + 1)
-    flat = np.zeros((width, size * size))
-    flat[:, diag] = -0.0
+    hazard = np.zeros((width, size * size))
+    hazard[:, diag] = -0.0
     for c, k in enumerate(cells):
-        np.cumsum(d_hazard[c], out=flat[1:, k])
+        np.cumsum(d_hazard[c], out=hazard[1:, k])
     _, outflow = _outflow(d_hazard, src, dst, size)
     for a, series in zip(sources, outflow):
-        np.cumsum(-series, out=flat[1:, diag[a]])
-    hazard = np.take(flat, rank, axis=0, mode="clip").reshape(m, size, size)
-    flat[:, diag] = 0.0
-    flat[:, cells] = counts.T
-    counts = np.take(flat, rank, axis=0, mode="clip").reshape(m, size, size)
+        np.cumsum(-series, out=hazard[1:, diag[a]])
+    cumulative = np.zeros((width, size * size))
+    cumulative[:, cells] = counts.T
 
-    exposure = np.take(expo, rank, axis=1)
     below = np.take(expo < epsilon, rank - live, axis=1)  # at each row's left limit
-    checked = _Checked(grid)  # one check of the grid for all five step functions
-    hazard = StepMatrix(checked, hazard)
+    index = rank.astype(_index_dtype(m))
+    grid = _Checked(grid).times  # one check of the grid for all five step functions
+    knots = (width, size, size)
+    hazard = StepMatrix.on_knots(grid, hazard.reshape(knots), index, np.zeros(knots[1:]))
     object.__setattr__(hazard, "_rows", rows)
     return HazardEstimate(
         hazard=hazard,
         epsilon=float(epsilon),
         exposure={
-            s: StepCurve(checked, exposure[i], float(initial[i])) for i, s in enumerate(states)
+            s: StepCurve.on_knots(grid, expo[i], index, float(initial[i]))
+            for i, s in enumerate(states)
         },
-        counts=StepMatrix(checked, counts),
+        counts=StepMatrix.on_knots(grid, cumulative.reshape(knots), index, np.zeros(knots[1:])),
         floor_active={s: tuple(grid[below[i]].tolist()) for i, s in enumerate(states)},
         states=states,
     )
@@ -322,8 +342,9 @@ def aalen_johansen(hazard: HazardEstimate, initial) -> OccupationEstimate:
     Cost: a step with ``dA = 0`` leaves ``p`` alone, so the recursion
     reads only the rows in ``hazard.hazard._rows``, L of the m grid rows. Their
     increments are the differences of the cumulative hazard at those rows
-    and the rows before them (``hazard.hazard.initial`` before row 0), the
-    bits of ``hazard.hazard.increments()`` there. In continuous time no
+    and the rows before them (``hazard.hazard.initial`` before row 0), read
+    from its knots through its index: the bits of
+    ``hazard.hazard.increments()`` there. In continuous time no
     two transitions share a time, so a live step has one nonzero row j,
     and ``p @ dA`` in column c is ``p_j * dA_jc`` plus exact zeros. The
     recursion therefore updates just those entries as Python floats,
@@ -337,9 +358,9 @@ def aalen_johansen(hazard: HazardEstimate, initial) -> OccupationEstimate:
     it turns a ``-0.0`` in ``initial`` into ``+0.0`` as the product does.
     An ``(L + 1, S)`` table then holds ``initial`` and, per state, the
     value of its last write at or before each of the L rows (a running
-    maximum over write positions), and each grid row takes the table row
-    of its rank among them. Beyond the result, the pass allocates arrays
-    of L rows and one int per grid row, no ``(m, S, S)`` array. The
+    maximum over write positions). The table is the result's knots, and
+    each grid row's rank among the L rows is its index. The pass allocates
+    arrays of L rows and one int per grid row, no ``(m, S)`` array. The
     values equal those of a step-by-step ``p + p @ dA`` walk bit for bit
     while the hazard and ``p`` stay finite.
 
@@ -357,9 +378,10 @@ def aalen_johansen(hazard: HazardEstimate, initial) -> OccupationEstimate:
     grid = hazard.hazard.times
     m, cells = len(grid), size * size
     rows = hazard.hazard._rows
-    cumulative = hazard.hazard.values.reshape(m, cells)
-    inc = np.take(cumulative, rows, axis=0)
-    before = np.take(cumulative, rows - 1, axis=0)  # row -1 reads the last row: replaced
+    knots = hazard.hazard._knots.reshape(-1, cells)
+    index = hazard.hazard._index
+    inc = np.take(knots, index[rows], axis=0)
+    before = np.take(knots, index[rows - 1], axis=0)  # row -1 reads the last row: replaced
     if rows.size and rows[0] == 0:
         before[0] = hazard.hazard.initial.reshape(cells)
     inc -= before
@@ -417,10 +439,11 @@ def aalen_johansen(hazard: HazardEstimate, initial) -> OccupationEstimate:
     ] = np.arange(size, table.size)
     del step, col
     table = table[np.maximum.accumulate(pos, axis=0, out=pos)]
-    rank = np.zeros(m, dtype=np.intp)  # each grid row's table row: the rows up to it
+    rank = np.zeros(m, dtype=rows.dtype)  # each grid row's table row: the rows up to it
     rank[rows] = 1
-    values = np.take(table, np.cumsum(rank, out=rank), axis=0)
-    return OccupationEstimate(grid, values, initial, hazard.states)
+    return OccupationEstimate.on_knots(
+        grid, table, np.cumsum(rank, out=rank), initial, states=hazard.states
+    )
 
 
 @dataclass(frozen=True)

@@ -289,6 +289,46 @@ def test_a_copy_with_another_hazard_reads_that_hazards_rows():
     assert [h.hazard._rows.size for h in (a, b)] == [110, 98]
 
 
+# --- step functions on their knots against their dense twins ---------------
+
+
+def _twins(r):
+    """Each fitted quantity with a hand-built twin made from its dense ``values``."""
+    h, occ = r.hazard, r.occupation
+    grid = h.times
+    pairs = [(q, StepMatrix(grid, q.values, q.initial)) for q in (h.hazard, h.counts)]
+    pairs += [(c, StepCurve(grid, c.values, c.initial)) for c in h.exposure.values()]
+    pairs += [
+        (occ.curve(s), StepCurve(grid, occ.values[:, i], float(occ.initial[i])))
+        for i, s in enumerate(occ.states)
+    ]
+    return pairs
+
+
+@given(fits())
+@settings(max_examples=60, deadline=None)
+def test_lookups_on_the_knots_match_the_dense_twins(case):
+    sample, spec, x, bandwidth, epsilon = case
+    r = fit(sample, x, spec, explicit_bandwidth=bandwidth, epsilon=epsilon)
+    grid = r.hazard.times
+    # at 0, at every grid time, between grid times and past the end
+    times = np.concatenate([[0.0], grid, (grid[:-1] + grid[1:]) / 2, [grid[-1] + 1.0]])
+    for knotted, twin in _twins(r):
+        lookups = ("at", "left") if isinstance(twin, StepMatrix) else ("__call__", "left")
+        for q in (knotted, replace(knotted)):
+            assert _same_bits(q.values, twin.values)
+            assert _same_bits(q.increments(), twin.increments())
+            for name in lookups:
+                want = np.array([getattr(twin, name)(t) for t in times.tolist()])
+                assert _same_bits(getattr(q, name)(times), want), name
+                assert all(
+                    _same_bits(getattr(q, name)(t), w) for t, w in zip(times.tolist(), want)
+                ), name
+    copy = replace(r.occupation)
+    assert _same_bits(copy.values, r.occupation.values)
+    assert _same_bits(copy.initial, r.occupation.initial) and copy.states == r.occupation.states
+
+
 def _na(paths, weights):
     """``nelson_aalen`` under hand-set weights; ``fit`` hands its result on the same way."""
     sample = Sample(tuple(paths), SPACE)

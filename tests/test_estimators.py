@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ from condaalen import stepfun
 from condaalen.data import ABSORBED, CENSORED, ObservedPath, Sample, StateSpace, ValidationError
 from condaalen.estimators import (
     HazardEstimate,
+    OccupationEstimate,
     aalen_johansen,
     event_grid,
     fit,
@@ -22,6 +24,7 @@ from condaalen.kernels import (
     bandwidth,
     nw_weights,
 )
+from condaalen.simulate import default_scenario, simulate_sample
 from condaalen.stepfun import StepMatrix
 
 
@@ -181,6 +184,32 @@ def test_aalen_johansen_peak_memory(sweep):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * m * size * size * 8, peak / (m * size * size * 8)
+
+
+def test_fit_keeps_its_quantities_on_their_knots():
+    # 400 of the 2,000 subjects carry weight here, and the hazard has 636 knots
+    # for the 3,134 grid rows: a fit kept 628 KB with each quantity dense on the
+    # grid, and keeps 177 KB on the knots
+    sc = default_scenario(n=2000, seed=3)
+    sample = simulate_sample(sc["intensity"], sc["censoring"], 2000, 3)
+    sample.table  # noqa: B018 -- built before the count starts
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        r = fit(sample, (0.5,), explicit_bandwidth=0.1)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+        quantities = [r.hazard.hazard, r.hazard.counts, r.occupation, *r.hazard.exposure.values()]
+        for q in quantities:
+            assert q.values.shape[0] == len(sample.table.grid)
+        gc.collect()
+        # the dense views are spread anew at each read, never kept
+        after_reads = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 300_000, kept
+    assert abs(after_reads - kept) < 1024, after_reads - kept
 
 
 @pytest.mark.parametrize("length", [2, 4])
@@ -366,3 +395,18 @@ def test_hazard_diagonal_is_negative_row_sum(sim_sample):
     assert np.all(off >= 0.0)
     # off-diagonal entries are nondecreasing in time
     assert np.all(np.diff(off, axis=0) >= -1e-15)
+
+
+def test_occupation_estimate_checks_its_shapes():
+    states = (1, 2)
+    good = dict(times=[1.0, 2.0], values=np.full((2, 2), 0.5), initial=[1.0, 0.0])
+    OccupationEstimate(**good, states=states)
+    bad = [
+        (dict(good, values=np.full((3, 2), 0.5)), "shape"),  # 3 rows on 2 times
+        (dict(good, values=np.full((2, 3), 0.5)), "shape"),  # 3 columns for 2 states
+        (dict(good, initial=[1.0, 0.0, 0.0]), "one value per state"),
+        (dict(good, times=[2.0, 1.0]), "strictly increasing"),
+    ]
+    for fields, message in bad:
+        with pytest.raises(ValueError, match=message):
+            OccupationEstimate(**fields, states=states)

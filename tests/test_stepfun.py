@@ -84,3 +84,26 @@ def test_matrix_shape_validation():
         StepMatrix(np.array([1.0]), np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         StepMatrix(np.array([1.0, 2.0]), np.zeros((1, 2, 2)))
+
+
+def test_a_nan_time_has_no_value():
+    f = StepCurve(np.array([1.0, 2.0]), np.array([10.0, 20.0]), initial=0.0)
+    m = StepMatrix(np.array([1.0, 2.0]), np.ones((2, 2, 2)))
+    for lookup in (f, f.left, m.at, m.left):
+        with pytest.raises(ValueError, match="NaN"):
+            lookup(np.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            lookup(np.array([0.5, np.nan, 3.0]))
+    empty = StepCurve(np.array([]), np.array([]), initial=7.0)
+    with pytest.raises(ValueError, match="NaN"):
+        empty(float("nan"))
+
+
+def test_matrix_lookups_take_arrays():
+    times = np.array([1.0, 2.0])
+    vals = np.array([[[1.0, 0.0], [0.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]]])
+    m = StepMatrix(times, vals)
+    t = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
+    np.testing.assert_array_equal(m.at(t), np.stack([m.at(u) for u in t]))
+    np.testing.assert_array_equal(m.left(t), np.stack([m.left(u) for u in t]))
+    assert m.at(t[:0]).shape == (0, 2, 2)
