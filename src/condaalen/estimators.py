@@ -34,7 +34,10 @@ so ``aalen_johansen`` runs its recursion on those rows alone.
 Every fitted quantity is a step function held on its knots, the rows of
 those passes, with an int32 index from each grid row to its knot (see
 :mod:`~condaalen.stepfun`); ``values`` spreads them over the grid only
-when it is read.
+when it is read. The hazard and the counts keep the jump rows alone, and
+of each row only the cells that may move: the occurring transitions, and
+for the hazard the diagonal. The exposures, which also move where a
+subject is censored, keep every live row.
 """
 
 from __future__ import annotations
@@ -199,17 +202,22 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
     in the last bits.
 
     The pass runs on the live rows and the occurring cells only. A live
-    row is a grid time with a jump or a censoring of nonzero weight; an
-    occurring cell is a (from, to) pair among those jumps. Counts,
-    hazards and exposures are kept cell (or state) major, ``(C, L + 1)``
-    for C cells and L live rows, so each cumulative sum runs along
-    contiguous memory. Column ``k`` holds the values after the ``k``-th
-    live row; column 0, the prefix, holds those before the first one:
-    counts 0.0, off-diagonal hazard 0.0, diagonal hazard -0.0 and
+    row is a grid time with a jump or a censoring of nonzero weight; a
+    jump row is one with a jump of nonzero weight, and an occurring cell
+    is a (from, to) pair among those jumps. Counts and hazards are kept
+    cell major, ``(C, J + 1)`` for C cells and J jump rows, and exposures
+    state major, ``(S, L + 1)`` for L live rows, so each cumulative sum
+    runs along contiguous memory. Column ``k`` holds the values after the
+    ``k``-th such row; column 0, the prefix, holds those before the first
+    one: counts 0.0, off-diagonal hazard 0.0, diagonal hazard -0.0 and
     exposure ``initial``. These columns are the knots of the returned
-    step functions: each grid row reads the column of its rank among the
-    live rows, through one int32 index that the hazard, the counts and the
-    exposures share. Of the grid's length, the result holds only that index.
+    step functions, which each grid row reads at its rank among the jump
+    rows or, for the exposures, the live rows: two int32 indexes, each
+    shared. At a censoring-only row the counts and the hazard would add
+    exact zeros, so they keep no column there. They store only their
+    cells, the occurring ones and, for the hazard, the S diagonal
+    entries; every other cell is +0.0 throughout. Of the grid's length,
+    the result holds only the two indexes.
 
     The bits are those of the dense pass over every row and cell, which
     the tests keep as the reference. A skipped row or cell would only add
@@ -249,32 +257,40 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
     cell = tab.src[moved] * size + tab.dst[moved]
     censored = np.flatnonzero(tab.censored & (w != 0.0))
     end = tab.end_pos[censored]
-    live = np.zeros(m, dtype=bool)
-    live[pos] = True
-    rows = np.flatnonzero(live).astype(_index_dtype(m))  # where the hazard moves
+    jump = np.zeros(m, dtype=bool)
+    jump[pos] = True
+    rows = np.flatnonzero(jump).astype(_index_dtype(m))  # where the hazard moves
+    moves = np.cumsum(jump, dtype=rows.dtype)  # each grid row's rank among the jump rows
+    live = jump
     live[end] = True
     rank = np.cumsum(live)  # each grid row's column: the live rows up to it
     width = 1 + int(rank[-1])
+    knot = rank[rows] - 1  # each jump row's left column among the live ones
 
     present = np.bincount(cell, minlength=size * size) > 0
     cells = np.flatnonzero(present)
     src, dst = np.divmod(cells, size)
     slot = np.cumsum(present) - 1  # each cell's row among the occurring ones
-    # each cumulative sum overwrites its bincount, which is never read again;
-    # a bincount of nothing comes out int
+    # the counts move at the jump rows only, so their columns are the prefix and
+    # those; each cumulative sum overwrites its bincount, which is never read
+    # again; a bincount of nothing comes out int
+    steps = 1 + rows.size
     counts = np.bincount(
-        slot[cell] * width + rank[pos], weights=wj[moved], minlength=cells.size * width
-    ).reshape(cells.size, width).astype(float, copy=False)
+        slot[cell] * steps + moves[pos], weights=wj[moved], minlength=cells.size * steps
+    ).reshape(cells.size, steps).astype(float, copy=False)
     d_counts = np.diff(np.cumsum(counts, axis=1, out=counts), axis=1)
 
-    # the flow, inflow minus outflow minus censoring, summed in place into expo
+    # the flow, inflow minus outflow minus censoring, summed in place into expo;
+    # inflow and outflow are exact zeros off the jump rows
     initial = np.bincount(tab.init, weights=w, minlength=size)
     expo = np.zeros((size, width))
-    flow = expo[:, 1:]
+    moved_flow = np.zeros((size, rows.size))
     for c, b in enumerate(dst):
-        flow[b] += d_counts[c]
+        moved_flow[b] += d_counts[c]
     sources, outflow = _outflow(d_counts, src, dst, size)
-    flow[sources] -= outflow
+    moved_flow[sources] -= outflow
+    expo[:, 1 + knot] = moved_flow
+    flow = expo[:, 1:]
     cens = np.bincount(
         tab.final[censored] * width + rank[end], weights=w[censored], minlength=size * width
     ).reshape(size, width)
@@ -282,27 +298,25 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
     np.cumsum(flow, axis=1, out=flow)
     expo += initial[:, None]
 
+    # the hazard keeps the counts' columns and cells, and the diagonal
     d_hazard = d_counts  # divided in place
-    d_hazard /= np.maximum(expo[src, :-1], epsilon)
-
-    # a full-width row per column: the knots, which each grid row reads by rank
+    d_hazard /= np.maximum(expo[:, knot], epsilon)[src]
     diag = np.arange(size) * (size + 1)
-    hazard = np.zeros((width, size * size))
-    hazard[:, diag] = -0.0
-    for c, k in enumerate(cells):
+    stored = np.union1d(cells, diag)
+    col = np.searchsorted(stored, np.concatenate([cells, diag]))
+    hazard = np.zeros((steps, stored.size))
+    hazard[:, col[cells.size :]] = -0.0
+    for c, k in enumerate(col[: cells.size]):
         np.cumsum(d_hazard[c], out=hazard[1:, k])
     _, outflow = _outflow(d_hazard, src, dst, size)
     for a, series in zip(sources, outflow):
-        np.cumsum(-series, out=hazard[1:, diag[a]])
-    cumulative = np.zeros((width, size * size))
-    cumulative[:, cells] = counts.T
+        np.cumsum(-series, out=hazard[1:, col[cells.size + a]])
 
     below = np.take(expo < epsilon, rank - live, axis=1)  # at each row's left limit
     index = rank.astype(_index_dtype(m))
     grid = _Checked(grid).times  # one check of the grid for all five step functions
-    knots = (width, size, size)
-    hazard = StepMatrix.on_knots(grid, hazard.reshape(knots), index, np.zeros(knots[1:]))
-    object.__setattr__(hazard, "_rows", rows)
+    zero = np.zeros((size, size))
+    hazard = StepMatrix.on_knots(grid, hazard, moves, zero, _cells=stored, _rows=rows)
     return HazardEstimate(
         hazard=hazard,
         epsilon=float(epsilon),
@@ -310,7 +324,7 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
             s: StepCurve.on_knots(grid, expo[i], index, float(initial[i]))
             for i, s in enumerate(states)
         },
-        counts=StepMatrix.on_knots(grid, cumulative.reshape(knots), index, np.zeros(knots[1:])),
+        counts=StepMatrix.on_knots(grid, counts.T.copy(), moves, zero.copy(), _cells=cells),
         floor_active={s: tuple(grid[below[i]].tolist()) for i, s in enumerate(states)},
         states=states,
     )
@@ -340,29 +354,32 @@ def aalen_johansen(hazard: HazardEstimate, initial) -> OccupationEstimate:
     mass of ``initial`` is conserved at every time.
 
     Cost: a step with ``dA = 0`` leaves ``p`` alone, so the recursion
-    reads only the rows in ``hazard.hazard._rows``, L of the m grid rows. Their
-    increments are the differences of the cumulative hazard at those rows
-    and the rows before them (``hazard.hazard.initial`` before row 0), read
-    from its knots through its index: the bits of
-    ``hazard.hazard.increments()`` there. In continuous time no
-    two transitions share a time, so a live step has one nonzero row j,
-    and ``p @ dA`` in column c is ``p_j * dA_jc`` plus exact zeros. The
-    recursion therefore updates just those entries as Python floats,
-    ``p_c + p_j * dA_jc``, with ``p_j`` read before the step (row j's
-    columns are visited from j + 1 round to j, so the diagonal comes
+    reads only the rows in ``hazard.hazard._rows``, L of the m grid rows.
+    Their increments are the differences of the cumulative hazard at those
+    rows and the rows before them (``hazard.hazard.initial`` before row 0),
+    read from its knots through its index, in its stored cells only: the
+    bits of ``hazard.hazard.increments()`` there, where every other cell is
+    +0.0. The nonzero entries are found among the stored cells. In
+    continuous time no two transitions share a time, so a live step has one
+    nonzero row j, and ``p @ dA`` in column c is ``p_j * dA_jc`` plus exact
+    zeros. The recursion therefore updates just those entries as Python
+    floats, ``p_c + p_j * dA_jc``, with ``p_j`` read before the step (row
+    j's columns are visited from j + 1 round to j, so the diagonal comes
     last). That is the value of ``p + p @ dA`` in any summation order,
     with or without FMA. A step with two or more nonzero rows, a tie
     across source states, keeps ``p + p @ dA`` in numpy, because a BLAS
     column sum of several nonzero products need not match any fixed
     order of Python additions. The first live step also runs in numpy:
     it turns a ``-0.0`` in ``initial`` into ``+0.0`` as the product does.
-    An ``(L + 1, S)`` table then holds ``initial`` and, per state, the
-    value of its last write at or before each of the L rows (a running
+    A numpy step scatters its stored increments into a zero ``(S, S)``
+    matrix. An ``(L + 1, S)`` table then holds ``initial`` and, per state,
+    the value of its last write at or before each of the L rows (a running
     maximum over write positions). The table is the result's knots, and
-    each grid row's rank among the L rows is its index. The pass allocates
-    arrays of L rows and one int per grid row, no ``(m, S)`` array. The
-    values equal those of a step-by-step ``p + p @ dA`` walk bit for bit
-    while the hazard and ``p`` stay finite.
+    each grid row's rank among the L rows is its index: the hazard's own
+    index where that is the same array, as on a fitted hazard. The pass
+    allocates arrays of L rows and one int per grid row, no ``(m, S)``
+    array. The values equal those of a step-by-step ``p + p @ dA`` walk
+    bit for bit while the hazard and ``p`` stay finite.
 
     Raises
     ------
@@ -376,36 +393,44 @@ def aalen_johansen(hazard: HazardEstimate, initial) -> OccupationEstimate:
             f"initial must have length {size}, one value per state, got shape {initial.shape}"
         )
     grid = hazard.hazard.times
-    m, cells = len(grid), size * size
+    m = len(grid)
     rows = hazard.hazard._rows
-    knots = hazard.hazard._knots.reshape(-1, cells)
+    knots = hazard.hazard._knots
     index = hazard.hazard._index
+    stored = hazard.hazard._cells
+    width = stored.size
     inc = np.take(knots, index[rows], axis=0)
     before = np.take(knots, index[rows - 1], axis=0)  # row -1 reads the last row: replaced
     if rows.size and rows[0] == 0:
-        before[0] = hazard.hazard.initial.reshape(cells)
+        before[0] = hazard.hazard.initial.reshape(-1)[stored]
     inc -= before
     del before
 
-    # every nonzero entry as (step, k): k = source * S + the column's place in
-    # row j's walk from column j + 1 round to j
+    # the stored cells in walk order, row j's from column j + 1 round to j, and
+    # every nonzero entry as (step, cell) in that order
     axis = np.arange(size)
     cycle = (axis[:, None] * size + (axis[:, None] + 1 + axis) % size).ravel()
-    flat = np.flatnonzero((inc != 0.0)[:, cycle])
-    step = flat // cells
-    k = flat - step * cells
-    src = k // size
+    column = np.full(size * size, -1)
+    column[stored] = np.arange(width)
+    order = cycle[column[cycle] >= 0]
+    inc = inc[:, column[order]]
+    flat = np.flatnonzero(inc != 0.0)
+    step = flat // width
+    cell = order[flat - step * width]
+    src = cell // size
     # a step with a second source (a tie) and the first live step run in numpy
     tie = (step[1:] == step[:-1]) & (src[1:] != src[:-1])
     full_steps = np.unique(np.concatenate([step[:1], step[1:][tie]]))
     full = np.zeros(rows.size, dtype=bool)
     full[full_steps] = True
     keep = ~full[step]
-    step, src, cell = step[keep], src[keep], cycle[k[keep]]
+    step, src, cell = step[keep], src[keep], cell[keep]
     col = cell - src * size
-    rate = np.take(inc, step * cells + cell)
-    full_inc = inc[full_steps].reshape(-1, size, size)
-    del inc, flat, k, keep, cell  # the loop's lists take their place
+    rate = np.take(inc, flat[keep])
+    full_inc = np.zeros((full_steps.size, size * size))
+    full_inc[:, order] = inc[full_steps]
+    full_inc = full_inc.reshape(-1, size, size)
+    del inc, flat, keep, cell  # the loop's lists take their place
     at = np.searchsorted(step, full_steps)
 
     # a full step is one loop entry: source -1, then its index among the full steps
@@ -441,9 +466,10 @@ def aalen_johansen(hazard: HazardEstimate, initial) -> OccupationEstimate:
     table = table[np.maximum.accumulate(pos, axis=0, out=pos)]
     rank = np.zeros(m, dtype=rows.dtype)  # each grid row's table row: the rows up to it
     rank[rows] = 1
-    return OccupationEstimate.on_knots(
-        grid, table, np.cumsum(rank, out=rank), initial, states=hazard.states
-    )
+    np.cumsum(rank, out=rank)
+    if np.array_equal(rank, index):  # a fitted hazard's index: the two share it
+        rank = index
+    return OccupationEstimate.on_knots(grid, table, rank, initial, states=hazard.states)
 
 
 @dataclass(frozen=True)

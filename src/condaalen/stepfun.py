@@ -8,10 +8,14 @@ Each is stored on its knots, the distinct rows it holds, with an int32
 index that gives each time's row among them. A fitted quantity moves at
 few of the grid times where the kernel conditions, so its knots are far
 fewer than its times; a hand-built one keeps its rows as given, with the
-identity as its index. ``values`` is the dense view, ``np.take(knots,
-index)``, spread anew at each read and never cached: whoever holds many
-fits holds their knots only. Lookups read the knots through the index and
-return the bits of the dense rows.
+identity as its index. A matrix also keeps only its stored cells, the
+flat positions ``_cells`` of the entries that may be nonzero, and every
+other entry is +0.0 at every time: a fitted hazard stores the transitions
+that occur and the diagonal, a hand-built matrix all ``S * S`` cells.
+``values`` is the dense view, the knots scattered into +0.0 frames and
+taken by the index, spread anew at each read and never cached: whoever
+holds many fits holds their knots only. Lookups read the knots through
+the index and return the bits of the dense rows.
 """
 
 from __future__ import annotations
@@ -59,7 +63,11 @@ class _Knots:
     @property
     def values(self) -> np.ndarray:
         """Value held from each time on, a fresh array spread from the knots."""
-        return np.take(self._knots, self._index, axis=0)
+        return np.take(self._spread(self._knots), self._index, axis=0)
+
+    def _spread(self, stored: np.ndarray) -> np.ndarray:
+        """Knot rows as values; a matrix scatters its stored cells into frames."""
+        return stored
 
     def _hold(self, times: np.ndarray, knots: np.ndarray, index=None) -> None:
         if index is None:
@@ -70,7 +78,10 @@ class _Knots:
 
     @classmethod
     def on_knots(cls, times, knots, index, initial, **fields):
-        """The step function with ``values[i] = knots[index[i]]``, built unchecked."""
+        """The step function with ``values[i] = knots[index[i]]``, built unchecked.
+
+        A matrix also takes ``_cells``, the increasing flat positions of its knots' columns.
+        """
         self = object.__new__(cls)
         self._hold(times, knots, index)
         for name, value in dict(fields, initial=initial).items():
@@ -89,7 +100,9 @@ class _Knots:
         if self.times.size == 0:
             out = np.full(np.shape(t) + np.shape(self.initial), self.initial)
         else:
-            row = np.take(self._knots, np.take(self._index, np.maximum(pos, 0)), axis=0)
+            row = self._spread(
+                np.take(self._knots, np.take(self._index, np.maximum(pos, 0)), axis=0)
+            )
             before = np.reshape(pos < 0, np.shape(pos) + (1,) * np.ndim(self.initial))
             out = np.where(before, self.initial, row)
         return float(out) if out.ndim == 0 and np.isscalar(t) else out
@@ -149,21 +162,30 @@ class StepMatrix(_Knots):
         v = np.asarray(values, dtype=float)
         if v.ndim != 3 or v.shape[0] != t.size or v.shape[1] != v.shape[2]:
             raise ValueError("values must have shape (len(times), S, S)")
-        if initial is None:
-            initial = np.zeros(v.shape[1:]) if v.size else np.zeros((0, 0))
-        initial = np.asarray(initial, dtype=float)
-        if v.size and initial.shape != v.shape[1:]:
+        initial = np.zeros(v.shape[1:]) if initial is None else np.asarray(initial, dtype=float)
+        if initial.shape != v.shape[1:]:
             raise ValueError("initial must match the matrix shape")
-        self._hold(t, v)
+        cells = v.shape[1] * v.shape[2]
+        self._hold(t, v.reshape(t.size, cells))
         object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "_cells", np.arange(cells))
 
     @property
     def dim(self) -> int:
-        return self._knots.shape[1] if self._knots.size else self.initial.shape[0]
+        return self.initial.shape[0]
 
     def at(self, t) -> np.ndarray:
         """Matrix at time ``t`` (right-continuous); an array ``t`` stacks one per entry."""
         return self._lookup(t, "right")
+
+    def _spread(self, stored: np.ndarray) -> np.ndarray:
+        """Stored cells ``(..., C)`` as matrices ``(..., S, S)``, +0.0 in every other cell."""
+        size = self.dim
+        if self._cells.size < size * size:
+            frame = np.zeros(stored.shape[:-1] + (size * size,))
+            frame[..., self._cells] = stored
+            stored = frame
+        return stored.reshape(stored.shape[:-1] + (size, size))
 
     @cached_property
     def _rows(self) -> np.ndarray:

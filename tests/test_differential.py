@@ -547,6 +547,34 @@ def test_nelson_aalen_bits_with_nine_states(seed):
     _assert_hazard_bits(sample, weights, 1e-4)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stored_cells_match_the_dense_twins_with_nine_states(seed):
+    # a narrow window over few subjects: most of the 81 cells never occur
+    sample = _nine_state_sample(seed, n=80)
+    r = fit(sample, (0.25,), explicit_bandwidth=0.1)
+    _assert_hazard_bits(sample, nw_weights(sample, (0.25,), KernelSpec.for_dims(1), 0.1), 1e-4)
+    hazard, counts = r.hazard.hazard, r.hazard.counts
+    assert hazard._cells.size < 81 / 2
+    assert hazard._cells.tolist() == sorted({*counts._cells.tolist(), *range(0, 81, 10)})
+    sources = np.count_nonzero(hazard.increments().any(axis=2), axis=1)
+    assert sources.max() >= 2  # transitions out of two states tie at one time
+    grid = hazard.times
+    times = np.concatenate([[0.0], grid, (grid[:-1] + grid[1:]) / 2, [grid[-1] + 1.0]])
+    for knotted, twin in _twins(r)[:2]:
+        assert _same_bits(knotted.values, twin.values)
+        assert _same_bits(knotted.increments(), twin.increments())
+        for name in ("at", "left"):
+            want = np.array([getattr(twin, name)(t) for t in times.tolist()])
+            assert _same_bits(getattr(knotted, name)(times), want), name
+            assert all(
+                _same_bits(getattr(knotted, name)(t), w) for t, w in zip(times.tolist(), want)
+            ), name
+    initial = r.hazard.initial_exposure()
+    want = _stepwise_occupation(r.hazard, initial)
+    assert _same_bits(aalen_johansen(r.hazard, initial).values, want)
+    assert _same_bits(r.occupation.values, want)
+
+
 def test_nelson_aalen_bits_without_a_weighted_jump():
     # only a subject outside the kernel window jumps: no cell occurs
     paths = (

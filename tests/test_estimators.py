@@ -212,6 +212,25 @@ def test_fit_keeps_its_quantities_on_their_knots():
     assert abs(after_reads - kept) < 1024, after_reads - kept
 
 
+def test_fit_keeps_its_hazard_and_counts_on_their_jump_rows_and_cells():
+    # the hazard moves on 525 of the 636 live rows, in 6 of its 9 cells, and the
+    # counts in 3: a fit kept 177 KB with both on every live row and cell, and
+    # keeps 124 KB on their jump rows and stored cells
+    sc = default_scenario(n=2000, seed=3)
+    sample = simulate_sample(sc["intensity"], sc["censoring"], 2000, 3)
+    sample.table  # noqa: B018 -- built before the count starts
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        r = fit(sample, (0.5,), explicit_bandwidth=0.1)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 140_000, kept
+
+
 @pytest.mark.parametrize("length", [2, 4])
 def test_aalen_johansen_rejects_initial_of_wrong_length(sim_sample, length):
     hazard = fit(sim_sample, (0.5,)).hazard

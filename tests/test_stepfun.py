@@ -79,6 +79,36 @@ def test_matrix_custom_initial():
     np.testing.assert_array_equal(m.increments()[0], np.eye(2))
 
 
+def test_an_empty_matrix_keeps_its_shape():
+    m = StepMatrix([], np.empty((0, 3, 3)))
+    assert m.dim == 3 and m.initial.shape == (3, 3)
+    np.testing.assert_array_equal(m.at(1.0), np.zeros((3, 3)))
+    np.testing.assert_array_equal(m.left(np.array([0.5, 2.0])), np.zeros((2, 3, 3)))
+    assert m.values.shape == m.increments().shape == (0, 3, 3)
+    with pytest.raises(ValueError, match="initial"):
+        StepMatrix([], np.empty((0, 3, 3)), initial=np.eye(2))
+
+
+def test_a_matrix_on_its_stored_cells_matches_its_dense_twin():
+    # cells 0 and 3 of a 2 x 2 matrix are stored, with -0.0 on the diagonal
+    # before the first move; cells 1 and 2 are +0.0 at every time
+    knots = np.array([[-0.0, -0.0], [-1.5, -0.0], [-2.0, -0.5]])
+    m = StepMatrix.on_knots(
+        np.array([1.0, 2.0, 3.0, 4.0]), knots, np.array([0, 1, 1, 2]), np.zeros((2, 2)),
+        _cells=np.array([0, 3]),
+    )  # fmt: skip
+    dense = np.zeros((4, 2, 2))
+    dense[:, 0, 0], dense[:, 1, 1] = knots[[0, 1, 1, 2]].T
+    twin = StepMatrix(m.times, dense)
+    assert np.array_equal(m.values.view(np.int64), dense.view(np.int64))
+    assert np.array_equal(m.increments().view(np.int64), twin.increments().view(np.int64))
+    t = np.array([0.0, 1.0, 1.5, 2.0, 3.5, 4.0, 9.0])
+    for name in ("at", "left"):
+        got, want = getattr(m, name)(t), getattr(twin, name)(t)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+        assert got.shape == (7, 2, 2)
+
+
 def test_matrix_shape_validation():
     with pytest.raises(ValueError):
         StepMatrix(np.array([1.0]), np.array([[1.0, 2.0]]))
