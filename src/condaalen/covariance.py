@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ABSORBED, Sample
+from .data import ABSORBED, Sample, _distinct
 from .estimators import HazardEstimate, OccupationEstimate, _generator
 from .kernels import WeightVector
 from .stepfun import StepCurve
@@ -209,7 +209,7 @@ def default_surface_grid(times: np.ndarray, size: int = 50) -> np.ndarray:
     if times.size <= size:
         return times.copy()
     qs = np.quantile(times, np.linspace(0.0, 1.0, size), method="closest_observation")
-    return np.unique(qs)
+    return _distinct(qs)
 
 
 def _surface_grid(grid, times: np.ndarray) -> np.ndarray:

@@ -42,6 +42,19 @@ _FLAG_TEXT = np.array(["", "0", "1"], dtype=object)
 _INDEX = np.dtype(np.intp).char
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array of ints or finite floats.
+
+    ``np.unique(values)`` by a sort and a mask: in numpy 2 that call asks
+    ``np.ma.is_masked`` first, which imports ``numpy.ma``.
+    """
+    values = np.sort(values)
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 class ParseError(ValueError):
     """Malformed CSV content; carries the offending line number."""
 
@@ -347,7 +360,7 @@ class EventTable:
     @classmethod
     def build(cls, columns: _Columns) -> EventTable:
         n = len(columns.init)
-        grid = np.unique(np.concatenate([columns.time, columns.end_time[columns.censored]]))
+        grid = _distinct(np.concatenate([columns.time, columns.end_time[columns.censored]]))
         subj, time, dst = columns.subj, columns.time, columns.state
         # subject l's stays are rows first[l] .. last[l]: one per jump
         # (the stay that jump ends), then the stay follow-up ends
@@ -554,7 +567,8 @@ class _Rows:
         starts_absorbed, escape = broken["initial absorbing"], broken["escape"]
         if starts_absorbed.any() or escape.any():
             problems = []
-            for s in np.union1d(np.flatnonzero(starts_absorbed), columns.subj[escape]).tolist():
+            bad = np.concatenate([np.flatnonzero(starts_absorbed), columns.subj[escape]])
+            for s in _distinct(bad).tolist():
                 where = f"id {sids[s]!r} (line {self.lines[at[first[s]]]})"
                 if starts_absorbed[s]:
                     problems.append(f"{where}: initial state {labels[state[first[s]]]} is absorbing")
@@ -591,7 +605,8 @@ class _Rows:
         suspect[bad_time + bad_state] = True
         if "" in ids:
             suspect |= np.fromiter(map(len, ids), np.intp, len(ids)) == 0
-        for i in np.union1d(np.flatnonzero(widths != width), full[suspect]).tolist():
+        odd = np.concatenate([np.flatnonzero(widths != width), full[suspect]])
+        for i in _distinct(odd).tolist():
             row = rows[i]
             if not row or all(not cell.strip() for cell in row):
                 continue

@@ -32,12 +32,15 @@ subject of nonzero weight jumps; the hazard is constant between them,
 so ``aalen_johansen`` runs its recursion on those rows alone.
 
 Every fitted quantity is a step function held on its knots, the rows of
-those passes, with an int32 index from each grid row to its knot (see
+those passes, with the int32 grid row where each knot starts (see
 :mod:`~condaalen.stepfun`); ``values`` spreads them over the grid only
-when it is read. The hazard and the counts keep the jump rows alone, and
-of each row only the cells that may move: the occurring transitions, and
-for the hazard the diagonal. The exposures, which also move where a
-subject is censored, keep every live row.
+when it is read, and a fit keeps no array of the grid's length but the
+grid. The hazard, the counts and the occupation keep the jump rows
+alone, and share one array of starts, row 0 and the jump rows; the
+hazard and the counts keep of each row only the cells that may move: the
+occurring transitions, and for the hazard the diagonal. The exposures,
+which also move where a subject is censored, keep every live row, and
+share row 0 and the live rows as their starts.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Sample
+from .data import Sample, _distinct
 from .kernels import (
     KernelSpec,
     NoKernelMass,
@@ -128,14 +131,22 @@ class OccupationEstimate(_Knots):
         object.__setattr__(self, "states", states)
 
     def curve(self, state: int) -> StepCurve:
+        """Occupation of one state as a curve on the same knots; ``ValueError`` if unknown."""
+        if state not in self.states:
+            raise ValueError(f"no state {state!r} among the states {self.states}")
         idx = self.states.index(state)
         return StepCurve.on_knots(
-            self.times, self._knots[:, idx], self._index, float(self.initial[idx])
+            self.times, self._knots[:, idx], self._starts, float(self.initial[idx])
         )
 
     @property
     def curves(self) -> dict[int, StepCurve]:
         return {s: self.curve(s) for s in self.states}
+
+
+def _knot_starts(rows: np.ndarray, m: int) -> np.ndarray:
+    """``[0, *rows]``: where each knot of a quantity that moves at ``rows`` starts."""
+    return np.concatenate([[0], rows]).astype(_index_dtype(m))
 
 
 def event_grid(sample: Sample) -> np.ndarray:
@@ -211,13 +222,16 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
     ``k``-th such row; column 0, the prefix, holds those before the first
     one: counts 0.0, off-diagonal hazard 0.0, diagonal hazard -0.0 and
     exposure ``initial``. These columns are the knots of the returned
-    step functions, which each grid row reads at its rank among the jump
-    rows or, for the exposures, the live rows: two int32 indexes, each
-    shared. At a censoring-only row the counts and the hazard would add
-    exact zeros, so they keep no column there. They store only their
-    cells, the occurring ones and, for the hazard, the S diagonal
-    entries; every other cell is +0.0 throughout. Of the grid's length,
-    the result holds only the two indexes.
+    step functions, which start at row 0 and then at each jump row or,
+    for the exposures, each live row: two int32 arrays of starts, each
+    shared; the prefix's run is empty where row 0 is such a row. The
+    hazard's jump rows, ``_rows``, are a view of its starts. At a
+    censoring-only row the counts and the hazard would add exact zeros,
+    so they keep no column there. They store only their cells, the
+    occurring ones and, for the hazard, the S diagonal entries; every
+    other cell is +0.0 throughout. Of the grid's length, the result
+    holds nothing but the grid; the pass's own grid-length arrays are
+    transient.
 
     The bits are those of the dense pass over every row and cell, which
     the tests keep as the reference. A skipped row or cell would only add
@@ -259,10 +273,12 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
     end = tab.end_pos[censored]
     jump = np.zeros(m, dtype=bool)
     jump[pos] = True
-    rows = np.flatnonzero(jump).astype(_index_dtype(m))  # where the hazard moves
+    starts = _knot_starts(np.flatnonzero(jump), m)  # shared by hazard, counts, occupation
+    rows = starts[1:]  # where the hazard moves
     moves = np.cumsum(jump, dtype=rows.dtype)  # each grid row's rank among the jump rows
     live = jump
     live[end] = True
+    live_starts = _knot_starts(np.flatnonzero(live), m)  # shared by the exposures
     rank = np.cumsum(live)  # each grid row's column: the live rows up to it
     width = 1 + int(rank[-1])
     knot = rank[rows] - 1  # each jump row's left column among the live ones
@@ -302,7 +318,7 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
     d_hazard = d_counts  # divided in place
     d_hazard /= np.maximum(expo[:, knot], epsilon)[src]
     diag = np.arange(size) * (size + 1)
-    stored = np.union1d(cells, diag)
+    stored = _distinct(np.concatenate([cells, diag]))
     col = np.searchsorted(stored, np.concatenate([cells, diag]))
     hazard = np.zeros((steps, stored.size))
     hazard[:, col[cells.size :]] = -0.0
@@ -313,18 +329,17 @@ def nelson_aalen(sample: Sample, weights: WeightVector, epsilon: float) -> Hazar
         np.cumsum(-series, out=hazard[1:, col[cells.size + a]])
 
     below = np.take(expo < epsilon, rank - live, axis=1)  # at each row's left limit
-    index = rank.astype(_index_dtype(m))
     grid = _Checked(grid).times  # one check of the grid for all five step functions
     zero = np.zeros((size, size))
-    hazard = StepMatrix.on_knots(grid, hazard, moves, zero, _cells=stored, _rows=rows)
+    hazard = StepMatrix.on_knots(grid, hazard, starts, zero, _cells=stored, _rows=rows)
     return HazardEstimate(
         hazard=hazard,
         epsilon=float(epsilon),
         exposure={
-            s: StepCurve.on_knots(grid, expo[i], index, float(initial[i]))
+            s: StepCurve.on_knots(grid, expo[i], live_starts, float(initial[i]))
             for i, s in enumerate(states)
         },
-        counts=StepMatrix.on_knots(grid, counts.T.copy(), moves, zero.copy(), _cells=cells),
+        counts=StepMatrix.on_knots(grid, counts.T.copy(), starts, zero.copy(), _cells=cells),
         floor_active={s: tuple(grid[below[i]].tolist()) for i, s in enumerate(states)},
         states=states,
     )
@@ -353,33 +368,36 @@ def aalen_johansen(hazard: HazardEstimate, initial) -> OccupationEstimate:
     convention every one-step factor is a stochastic matrix, so the total
     mass of ``initial`` is conserved at every time.
 
-    Cost: a step with ``dA = 0`` leaves ``p`` alone, so the recursion
-    reads only the rows in ``hazard.hazard._rows``, L of the m grid rows.
-    Their increments are the differences of the cumulative hazard at those
-    rows and the rows before them (``hazard.hazard.initial`` before row 0),
-    read from its knots through its index, in its stored cells only: the
-    bits of ``hazard.hazard.increments()`` there, where every other cell is
-    +0.0. The nonzero entries are found among the stored cells. In
-    continuous time no two transitions share a time, so a live step has one
-    nonzero row j, and ``p @ dA`` in column c is ``p_j * dA_jc`` plus exact
-    zeros. The recursion therefore updates just those entries as Python
-    floats, ``p_c + p_j * dA_jc``, with ``p_j`` read before the step (row
-    j's columns are visited from j + 1 round to j, so the diagonal comes
-    last). That is the value of ``p + p @ dA`` in any summation order,
-    with or without FMA. A step with two or more nonzero rows, a tie
-    across source states, keeps ``p + p @ dA`` in numpy, because a BLAS
-    column sum of several nonzero products need not match any fixed
-    order of Python additions. The first live step also runs in numpy:
-    it turns a ``-0.0`` in ``initial`` into ``+0.0`` as the product does.
-    A numpy step scatters its stored increments into a zero ``(S, S)``
-    matrix. An ``(L + 1, S)`` table then holds ``initial`` and, per state,
-    the value of its last write at or before each of the L rows (a running
-    maximum over write positions). The table is the result's knots, and
-    each grid row's rank among the L rows is its index: the hazard's own
-    index where that is the same array, as on a fitted hazard. The pass
-    allocates arrays of L rows and one int per grid row, no ``(m, S)``
-    array. The values equal those of a step-by-step ``p + p @ dA`` walk
-    bit for bit while the hazard and ``p`` stay finite.
+    Cost: a step with ``dA = 0`` leaves ``p`` alone, so the recursion reads
+    only the rows in ``hazard.hazard._rows``, L of the m grid rows. Their
+    increments are the differences of the cumulative hazard at those rows
+    and the rows before them (``hazard.hazard.initial`` before row 0), read
+    from its knots. A row's knot is the last one starting at or before it,
+    found by a ``searchsorted`` over the starts; the hazard moves only where
+    a knot starts, and no knot but the first has an empty run, so the row
+    before reads the knot before. Only the stored cells are read: the bits
+    of ``hazard.hazard.increments()`` there, where every other cell is +0.0.
+    The nonzero entries are found among the stored cells. In continuous time
+    no two transitions share a time, so a live step has one nonzero row j,
+    and ``p @ dA`` in column c is ``p_j * dA_jc`` plus exact zeros. The
+    recursion therefore updates just those entries as Python floats,
+    ``p_c + p_j * dA_jc``, with ``p_j`` read before the step (row j's
+    columns are visited from j + 1 round to j, so the diagonal comes last).
+    That is the value of ``p + p @ dA`` in any summation order, with or
+    without FMA. A step with two or more nonzero rows, a tie across source
+    states, keeps ``p + p @ dA`` in numpy, because a BLAS column sum of
+    several nonzero products need not match any fixed order of Python
+    additions. The first live step also runs in numpy: it turns a ``-0.0``
+    in ``initial`` into ``+0.0`` as the product does. A numpy step scatters
+    its stored increments into a zero ``(S, S)`` matrix. An ``(L + 1, S)``
+    table then holds ``initial`` and, per state, the value of its last write
+    at or before each of the L rows (a running maximum over write
+    positions). The table is the result's knots; they start at row 0 and at
+    the L rows, which on a fitted hazard are the hazard's own starts,
+    shared, and otherwise a new array of L + 1. The pass allocates arrays of
+    L rows only, nothing of the grid's length. The values equal those of a
+    step-by-step ``p + p @ dA`` walk bit for bit while the hazard and ``p``
+    stay finite.
 
     Raises
     ------
@@ -393,15 +411,17 @@ def aalen_johansen(hazard: HazardEstimate, initial) -> OccupationEstimate:
             f"initial must have length {size}, one value per state, got shape {initial.shape}"
         )
     grid = hazard.hazard.times
-    m = len(grid)
     rows = hazard.hazard._rows
     knots = hazard.hazard._knots
-    index = hazard.hazard._index
+    own = hazard.hazard._starts
     stored = hazard.hazard._cells
     width = stored.size
-    inc = np.take(knots, index[rows], axis=0)
-    before = np.take(knots, index[rows - 1], axis=0)  # row -1 reads the last row: replaced
-    if rows.size and rows[0] == 0:
+    # each row's knot, the last one starting at or before it, and the knot before
+    # that one: a row where the hazard moves is where its knot starts
+    knot = np.searchsorted(own, rows, side="right") - 1
+    inc = np.take(knots, knot, axis=0)
+    before = np.take(knots, knot - 1, axis=0)
+    if rows.size and rows[0] == 0:  # the prefix, or knot -1, the last one: replaced
         before[0] = hazard.hazard.initial.reshape(-1)[stored]
     inc -= before
     del before
@@ -420,7 +440,7 @@ def aalen_johansen(hazard: HazardEstimate, initial) -> OccupationEstimate:
     src = cell // size
     # a step with a second source (a tie) and the first live step run in numpy
     tie = (step[1:] == step[:-1]) & (src[1:] != src[:-1])
-    full_steps = np.unique(np.concatenate([step[:1], step[1:][tie]]))
+    full_steps = _distinct(np.concatenate([step[:1], step[1:][tie]]))
     full = np.zeros(rows.size, dtype=bool)
     full[full_steps] = True
     keep = ~full[step]
@@ -464,12 +484,9 @@ def aalen_johansen(hazard: HazardEstimate, initial) -> OccupationEstimate:
     ] = np.arange(size, table.size)
     del step, col
     table = table[np.maximum.accumulate(pos, axis=0, out=pos)]
-    rank = np.zeros(m, dtype=rows.dtype)  # each grid row's table row: the rows up to it
-    rank[rows] = 1
-    np.cumsum(rank, out=rank)
-    if np.array_equal(rank, index):  # a fitted hazard's index: the two share it
-        rank = index
-    return OccupationEstimate.on_knots(grid, table, rank, initial, states=hazard.states)
+    # the table's rows start at 0 and at the L rows: a fitted hazard's own starts
+    starts = own if rows.base is own else _knot_starts(rows, grid.size)
+    return OccupationEstimate.on_knots(grid, table, starts, initial, states=hazard.states)
 
 
 @dataclass(frozen=True)

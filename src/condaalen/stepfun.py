@@ -4,18 +4,22 @@ Scalar curves and square-matrix valued curves share the same time
 convention: ``values[i]`` is the value held on ``[times[i], times[i+1])``
 and ``initial`` is the value held on ``[0, times[0])``.
 
-Each is stored on its knots, the distinct rows it holds, with an int32
-index that gives each time's row among them. A fitted quantity moves at
-few of the grid times where the kernel conditions, so its knots are far
-fewer than its times; a hand-built one keeps its rows as given, with the
-identity as its index. A matrix also keeps only its stored cells, the
-flat positions ``_cells`` of the entries that may be nonzero, and every
-other entry is +0.0 at every time: a fitted hazard stores the transitions
-that occur and the diagonal, a hand-built matrix all ``S * S`` cells.
-``values`` is the dense view, the knots scattered into +0.0 frames and
-taken by the index, spread anew at each read and never cached: whoever
-holds many fits holds their knots only. Lookups read the knots through
-the index and return the bits of the dense rows.
+Each is stored on its knots, the distinct rows it holds, with the int32
+start row of each: knot ``k`` is held from row ``starts[k]`` up to row
+``starts[k + 1]`` or the end, and ``starts[0] = 0``. A fitted quantity
+moves at few of the grid times where the kernel conditions, so its knots
+are far fewer than its times, and it keeps nothing of the grid's length
+but the times; the first knot's run is empty when the first move is at
+row 0, and no other run is. A hand-built one keeps its rows as given,
+each starting at its own row. A matrix also keeps only its stored cells,
+the flat positions ``_cells`` of the entries that may be nonzero, and
+every other entry is +0.0 at every time: a fitted hazard stores the
+transitions that occur and the diagonal, a hand-built matrix all
+``S * S`` cells. ``values`` is the dense view, the knots scattered into
++0.0 frames and repeated over their runs, spread anew at each read and
+never cached: whoever holds many fits holds their knots only. A lookup
+finds the time's row, then that row's knot among the starts, and returns
+the bits of the dense row.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ def _index_dtype(size: int):
 
 
 class _Knots:
-    """The storage of the step types: knot rows, and each time's row among them.
+    """The storage of the step types: knot rows, and the grid row where each starts.
 
     A subclass is a frozen dataclass whose ``values`` field is the property
     below, so ``dataclasses.replace`` reads the dense view and makes a copy
@@ -63,27 +67,31 @@ class _Knots:
     @property
     def values(self) -> np.ndarray:
         """Value held from each time on, a fresh array spread from the knots."""
-        return np.take(self._spread(self._knots), self._index, axis=0)
+        runs = np.diff(self._starts, append=self.times.size)
+        return np.repeat(self._spread(self._knots), runs, axis=0)
 
     def _spread(self, stored: np.ndarray) -> np.ndarray:
         """Knot rows as values; a matrix scatters its stored cells into frames."""
         return stored
 
-    def _hold(self, times: np.ndarray, knots: np.ndarray, index=None) -> None:
-        if index is None:
-            index = np.arange(times.size, dtype=_index_dtype(times.size))
+    def _hold(self, times: np.ndarray, knots: np.ndarray, starts=None) -> None:
+        if starts is None:
+            starts = np.arange(times.size, dtype=_index_dtype(times.size))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "_knots", knots)
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_starts", starts)
 
     @classmethod
-    def on_knots(cls, times, knots, index, initial, **fields):
-        """The step function with ``values[i] = knots[index[i]]``, built unchecked.
+    def on_knots(cls, times, knots, starts, initial, **fields):
+        """The step function holding ``knots[k]`` from row ``starts[k]`` on, built unchecked.
 
-        A matrix also takes ``_cells``, the increasing flat positions of its knots' columns.
+        ``starts`` increases from ``starts[0] = 0``, except that the first
+        knot's run may be empty, and then that knot is never read. A matrix
+        also takes ``_cells``, the increasing flat positions of its knots'
+        columns.
         """
         self = object.__new__(cls)
-        self._hold(times, knots, index)
+        self._hold(times, knots, starts)
         for name, value in dict(fields, initial=initial).items():
             object.__setattr__(self, name, value)
         return self
@@ -100,9 +108,9 @@ class _Knots:
         if self.times.size == 0:
             out = np.full(np.shape(t) + np.shape(self.initial), self.initial)
         else:
-            row = self._spread(
-                np.take(self._knots, np.take(self._index, np.maximum(pos, 0)), axis=0)
-            )
+            # the last knot starting at or before the row: of two at one row, the later
+            knot = np.searchsorted(self._starts, np.maximum(pos, 0), side="right") - 1
+            row = self._spread(np.take(self._knots, knot, axis=0))
             before = np.reshape(pos < 0, np.shape(pos) + (1,) * np.ndim(self.initial))
             out = np.where(before, self.initial, row)
         return float(out) if out.ndim == 0 and np.isscalar(t) else out
@@ -119,7 +127,7 @@ class StepCurve(_Knots):
     values : array_like
         Value held on ``[times[i], times[i+1])``.
     initial : float
-        Value held on ``[0, times[0])``.
+        Value held on ``[0, times[0])``, a real number, stored as a float.
     """
 
     times: np.ndarray
@@ -131,8 +139,11 @@ class StepCurve(_Knots):
         v = np.asarray(values, dtype=float)
         if v.shape != t.shape:
             raise ValueError("values must match times in length")
+        given = np.asarray(initial)
+        if given.ndim != 0 or given.dtype.kind not in "biuf":
+            raise ValueError(f"initial must be a real number, got {initial!r}")
         self._hold(t, v)
-        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "initial", float(given))
 
     def __call__(self, t):
         """Value at time ``t`` (right-continuous). Accepts scalars or arrays."""
@@ -189,7 +200,8 @@ class StepMatrix(_Knots):
 
     @cached_property
     def _rows(self) -> np.ndarray:
-        """The rows where it may move, as ``nelson_aalen`` sets them, or from its increments."""
+        """The rows where it may move: a fitted hazard's knot starts after the prefix,
+        as ``nelson_aalen`` sets them, or else the rows of its nonzero increments."""
         with np.errstate(invalid="ignore"):  # inf - inf is a nonzero increment, NaN
             rows = np.flatnonzero((self.increments() != 0.0).any(axis=(1, 2)))
         return rows.astype(_index_dtype(self.times.size))

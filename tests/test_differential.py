@@ -9,6 +9,7 @@ window, and the floor is sometimes large enough to engage.
 import csv
 import json
 import tempfile
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from pathlib import Path
 
@@ -327,6 +328,44 @@ def test_lookups_on_the_knots_match_the_dense_twins(case):
     copy = replace(r.occupation)
     assert _same_bits(copy.values, r.occupation.values)
     assert _same_bits(copy.initial, r.occupation.initial) and copy.states == r.occupation.states
+
+
+def _literal_twins(sample, r):
+    """Each fitted quantity with a twin built from the literal references alone."""
+    lit = _literal_nelson_aalen(sample, r.weights.weights, r.hazard.epsilon)
+    initial = lit.initial_exposure()
+    occupation = _stepwise_occupation(lit, initial)
+    assert _same_bits(r.occupation.values, occupation)
+    assert _same_bits(r.occupation.initial, initial)
+    pairs = [(r.hazard.hazard, lit.hazard), (r.hazard.counts, lit.counts)]
+    pairs += [(r.hazard.exposure[s], lit.exposure[s]) for s in lit.states]
+    pairs += [
+        (r.occupation.curve(s), StepCurve(lit.times, occupation[:, i], initial[i]))
+        for i, s in enumerate(lit.states)
+    ]
+    return pairs
+
+
+@given(fits())
+@settings(max_examples=60, deadline=None)
+def test_dense_views_and_lookups_match_the_literal_references(case):
+    sample, spec, x, bandwidth, epsilon = case
+    r = fit(sample, x, spec, explicit_bandwidth=bandwidth, epsilon=epsilon)
+    grid = r.hazard.times
+    # at 0, at every grid time, between grid times and past the end
+    times = np.concatenate([[0.0], grid, (grid[:-1] + grid[1:]) / 2, [grid[-1] + 1.0]])
+    for got, want in _literal_twins(sample, r):
+        dense = want.values
+        assert _same_bits(got.values, dense)
+        call = "at" if isinstance(want, StepMatrix) else "__call__"
+        # the row held at t: the last grid time at or before it, or before it for left
+        for name, held in ((call, bisect_right), ("left", bisect_left)):
+            rows = [held(grid.tolist(), t) - 1 for t in times.tolist()]
+            expect = [dense[i] if i >= 0 else want.initial for i in rows]
+            assert _same_bits(getattr(got, name)(times), np.array(expect)), name
+            assert all(
+                _same_bits(getattr(got, name)(t), e) for t, e in zip(times.tolist(), expect)
+            ), name
 
 
 def _na(paths, weights):

@@ -231,6 +231,33 @@ def test_fit_keeps_its_hazard_and_counts_on_their_jump_rows_and_cells():
     assert kept <= 140_000, kept
 
 
+def test_fit_keeps_no_array_of_the_grids_length():
+    # the knots' start rows replace an int32 index per grid row: the exposures
+    # have 636 starts and the hazard, counts and occupation share 526, for the
+    # 3,134 grid rows: a fit kept 124 KB with the two indexes and keeps 101 KB
+    sc = default_scenario(n=2000, seed=3)
+    sample = simulate_sample(sc["intensity"], sc["censoring"], 2000, 3)
+    sample.table  # noqa: B018 -- built before the count starts
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        r = fit(sample, (0.5,), explicit_bandwidth=0.1)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert r.hazard.hazard._starts is r.occupation._starts
+    assert kept <= 110_000, kept
+
+
+def test_an_occupation_curve_of_an_unknown_state_names_the_states(sim_sample):
+    occupation = fit(sim_sample, (0.5,)).occupation
+    assert occupation.curve(2).initial == occupation.initial[1]
+    with pytest.raises(ValueError, match=r"no state 7 among the states \(1, 2, 3\)"):
+        occupation.curve(7)
+
+
 @pytest.mark.parametrize("length", [2, 4])
 def test_aalen_johansen_rejects_initial_of_wrong_length(sim_sample, length):
     hazard = fit(sim_sample, (0.5,)).hazard

@@ -1,4 +1,5 @@
-"""The import graph: only the Markov oracle and the check suite load scipy."""
+"""The import graph: only the Markov oracle and the check suite load scipy,
+and nothing that simulates, fits or computes a covariance loads ``numpy.ma``."""
 
 import subprocess
 import sys
@@ -30,6 +31,9 @@ assert main(["fit", "--input", sample, "--x", "0.5", "--json", "--out", str(work
 cov = ["covariance", "--input", sample, "--x", "0.5", "--grid", "5", "--out", str(work / "cov")]
 assert main(cov) == 0
 assert not scipy_modules(), f"{len(scipy_modules())} scipy modules loaded"
+import numpy
+if int(numpy.__version__.split(".")[0]) >= 2:  # numpy 1 imports numpy.ma with itself
+    assert "numpy.ma" not in sys.modules, "numpy.ma loaded"
 
 intensity = default_scenario()["intensity"]
 try:

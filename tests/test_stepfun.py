@@ -39,6 +39,20 @@ def test_curve_rejects_unsorted_times():
         StepCurve(np.array([1.0, 1.0]), np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("initial", [np.array([1.0, 2.0]), np.array([[1.0]]), "x", None, 1j])
+def test_curve_refuses_an_initial_that_is_no_real_number(initial):
+    with pytest.raises(ValueError, match="initial must be a real number"):
+        StepCurve([1.0], [1.0], initial)
+
+
+def test_curve_stores_its_initial_as_a_float():
+    for initial in (2, np.float32(0.5), np.array(-0.0), True):
+        f = StepCurve([1.0], [1.0], initial)
+        assert type(f.initial) is float and f.initial == initial
+        assert type(f(0.5)) is float
+    assert np.signbit(StepCurve([1.0], [1.0], np.array(-0.0)).initial)
+
+
 def test_curve_rejects_length_mismatch():
     with pytest.raises(ValueError):
         StepCurve(np.array([1.0, 2.0]), np.array([1.0]))
@@ -94,7 +108,7 @@ def test_a_matrix_on_its_stored_cells_matches_its_dense_twin():
     # before the first move; cells 1 and 2 are +0.0 at every time
     knots = np.array([[-0.0, -0.0], [-1.5, -0.0], [-2.0, -0.5]])
     m = StepMatrix.on_knots(
-        np.array([1.0, 2.0, 3.0, 4.0]), knots, np.array([0, 1, 1, 2]), np.zeros((2, 2)),
+        np.array([1.0, 2.0, 3.0, 4.0]), knots, np.array([0, 1, 3]), np.zeros((2, 2)),
         _cells=np.array([0, 3]),
     )  # fmt: skip
     dense = np.zeros((4, 2, 2))
